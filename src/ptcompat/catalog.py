@@ -219,14 +219,8 @@ def sphere_sequence(count: int) -> list[tuple[Fraction, Fraction, Fraction]]:
     return points
 
 
-def bloch_polytope(points: int, scheme: str = "inscribed") -> TheorySpace:
+def bloch_polytope(points: int) -> TheorySpace:
     """Inscribed rational polytope standing in for the unit-ball theory."""
-    if scheme == "octahedron":
-        if points != 6:
-            raise InputError("the octahedron scheme has exactly 6 points")
-        return bloch_octahedron()
-    if scheme != "inscribed":
-        raise InputError(f"unknown scheme {scheme!r}")
     if points < 4:
         raise InputError("need at least 4 points to span the ball coordinates")
     extremes = [(_ONE,) + p for p in sphere_sequence(points)]

@@ -9,7 +9,9 @@ and 1 flags an internal invariant failure.
 Observable arguments are either JSON files (schema in docs/formats.md)
 or builtin names: bare (``X``, ``pauli-x``, ...) when ``--theory``
 names a catalog theory, or qualified as ``name@theory`` (for example
-``pauli-x@bloch:512``).
+``pauli-x@bloch:512``).  A file named like a builtin theory or
+observable is refused rather than silently shadowing it; ``./name``
+passes the file.
 """
 
 from __future__ import annotations
@@ -46,9 +48,20 @@ class RunConfig:
 
 def _resolve_theory(spec: str):
     path = Path(spec)
-    if path.exists():
-        return serialize.theory_from_doc(_read_json(path))
-    return catalog.get_theory(spec)
+    if not path.exists():
+        return catalog.get_theory(spec)
+    _refuse_shadowing(spec, "catalog theory", lambda: catalog.get_theory(spec))
+    return serialize.theory_from_doc(_read_json(path))
+
+
+def _refuse_shadowing(spec: str, kind: str, lookup) -> None:
+    """An existing file named like a builtin must not silently replace it."""
+    try:
+        lookup()
+    except InputError:
+        return
+    raise InputError(f"{spec!r} names both a file and a builtin {kind}; "
+                     f"pass the file as ./{spec} or rename it")
 
 
 def _read_json(path: Path):
@@ -69,22 +82,14 @@ def _load_observables(config: RunConfig):
     for arg in config.inputs:
         path = Path(arg)
         if path.exists():
+            _refuse_shadowing(arg, "observable", lambda: _builtin(arg, base_theory))
             doc = _read_json(path)
             if not isinstance(doc, dict) or "theory" not in doc:
                 raise InputError(f"{path}: observable documents need a 'theory' field")
             doc_theory = theory if theory is not None else catalog.get_theory(str(doc["theory"]))
             m = serialize.observable_from_doc(doc, doc_theory)
-        elif "@" in arg:
-            name, _, theory_name = arg.partition("@")
-            named_theory = catalog.get_theory(theory_name)
-            m = _named(named_theory, name)
-        elif base_theory is not None:
-            m = _named(base_theory, arg)
         else:
-            raise InputError(
-                f"{arg!r} is neither a file nor a qualified builtin name "
-                "(use name@theory or pass --theory)"
-            )
+            m = _builtin(arg, base_theory)
         if theory is None:
             theory = m.theory
         elif m.theory != theory:
@@ -93,6 +98,18 @@ def _load_observables(config: RunConfig):
     if not observables:
         raise InputError("no observables given")
     return theory, observables
+
+
+def _builtin(arg, base_theory):
+    if "@" in arg:
+        name, _, theory_name = arg.partition("@")
+        return _named(catalog.get_theory(theory_name), name)
+    if base_theory is not None:
+        return _named(base_theory, arg)
+    raise InputError(
+        f"{arg!r} is neither a file nor a qualified builtin name "
+        "(use name@theory or pass --theory)"
+    )
 
 
 def _named(theory, name):

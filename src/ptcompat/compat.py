@@ -1,22 +1,30 @@
 """Joint-measurability analysis: verdicts, noise thresholds, regions.
 
-Every question is decided by one exact rational LP over the unknown
-joint observable.  The grid of joint-effect coefficients (one block of
-``dim`` free variables per outcome cell) is constrained by
+Every question asks whether the noisy versions
+``lambda_k*M_k + (1 - lambda_k)*T_k`` of a family (``T_k`` trivial) admit
+a joint observable, and is decided by one exact rational LP from
+:func:`_family_program`.  Axis k has sharpness ``a_k + b_k*s``:
 
-* marginal equalities, imposed coefficient-wise (the extreme points
-  span the coordinate space, so this equals state-by-state equality),
-* nonnegativity of every cell at every extreme point.
+* plain verdict: (1, 0) on every axis;
+* region membership: (lambda_k, 0);
+* one-sided index: (1, 0) and (0, 1), maximizing s;
+* boundary ray along w: (0, w_k), maximizing s.
 
-Noisy variants eliminate the bilinear sharpness-times-noise term by
-substituting one nonnegative variable per noise outcome whose total is
-the noise weight, which keeps everything a single LP.
+The unknowns are the ``dim`` free coefficients of every outcome cell,
+one nonnegative noise variable per outcome of each axis that is not
+sharp (it stands for the bilinear noise-weight-times-noise term, which
+keeps everything a single LP), and s.  The rows are the marginal
+equalities, imposed coefficient-wise (the extreme points span the
+coordinate space, so this equals state-by-state equality), the noise
+totals, and nonnegativity of every cell at every extreme point;
+docs/formats.md gives the exact order.
 
-Compatible verdicts carry the decoded joint observable as a witness;
-incompatible verdicts carry a Farkas certificate that re-verifies
-against the corresponding public LP builder (:func:`build_joint_lp`
-for plain compatibility, :func:`build_region_lp` for membership
-queries).  All functions are pure and deterministic.
+Every optimal point goes through :func:`_family_witness`, which decodes
+the joint observable and compares each of its marginals exactly with
+the noisy observable it must equal.  Incompatible verdicts carry the
+Farkas certificate of the solved program, which is the program the
+public builders (:func:`build_joint_lp`, :func:`build_region_lp`)
+return.  All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lp
 from .errors import InputError, InternalError
@@ -95,20 +104,6 @@ def marginal(joint: JointObservable, axis: int) -> Observable:
     return Observable(joint.theory, joint.axes[axis], effects)
 
 
-def permute_axes(joint: JointObservable, order) -> JointObservable:
-    """Reindex the grid along a permutation of the axes."""
-    order = tuple(order)
-    sizes = joint.shape
-    if sorted(order) != list(range(len(sizes))):
-        raise InputError("not a permutation of the axes")
-    axes = tuple(joint.axes[a] for a in order)
-    effects = []
-    for cell in itertools.product(*(range(sizes[a]) for a in order)):
-        original = tuple(cell[order.index(a)] for a in range(len(sizes)))
-        effects.append(joint.cell(original))
-    return JointObservable(joint.theory, axes, tuple(effects))
-
-
 @dataclass(frozen=True)
 class Compatible:
     witness: JointObservable
@@ -151,10 +146,15 @@ class EstimateResult:
 
 
 # ---------------------------------------------------------------------------
-# grid bookkeeping
+# the family program
+
+_SHARP = (_ONE, _ZERO)
+_INDEX_AXES = (_SHARP, (_ZERO, _ONE))
 
 
 class _Grid:
+    """A family of observables over one theory, and its outcome grid."""
+
     def __init__(self, observables):
         observables = list(observables)
         if not observables:
@@ -166,61 +166,135 @@ class _Grid:
         self.observables = observables
         self.theory = theory
         self.dim = theory.dim
-        self.sizes = tuple(len(m) for m in observables)
-        self.cells = list(itertools.product(*(range(m) for m in self.sizes)))
+        self.cells = list(itertools.product(*(range(len(m)) for m in observables)))
         self.cell_pos = {c: i for i, c in enumerate(self.cells)}
         self.n_cell_vars = len(self.cells) * self.dim
 
     def var(self, cell, coord):
         return self.cell_pos[cell] * self.dim + coord
 
-    def marginal_rows(self, n_vars, rhs_of, extra_of=None):
-        """One equality row per (axis, outcome, coordinate).
+    def layout(self, axes):
+        """Variables of the program where axis k has sharpness a_k + b_k*s.
 
-        ``rhs_of(axis, outcome, coord)`` gives the constant right side;
-        ``extra_of(axis, outcome, coord)`` may add coefficients on
-        non-cell variables (dict var -> coeff).
+        Cell coefficients come first, then one noise block per axis that
+        is not sharp ((a_k, b_k) != (1, 0)), then ``s`` if any b_k != 0.
+        Returns the first noise variable of every axis (None when sharp),
+        the index of ``s`` (None when absent) and the variable count.
         """
-        rows = []
-        for k, m in enumerate(self.observables):
-            for j in range(len(m)):
-                group = [c for c in self.cells if c[k] == j]
-                for r in range(self.dim):
-                    coeffs = [_ZERO] * n_vars
-                    for cell in group:
-                        coeffs[self.var(cell, r)] += _ONE
-                    if extra_of is not None:
-                        for v, c in extra_of(k, j, r).items():
-                            coeffs[v] += c
-                    rows.append((tuple(coeffs), "=", rhs_of(k, j, r)))
-        return rows
+        noise = []
+        pos = self.n_cell_vars
+        for (a, b), m in zip(axes, self.observables):
+            if (a, b) == _SHARP:
+                noise.append(None)
+            else:
+                noise.append(pos)
+                pos += len(m)
+        if not any(b for _, b in axes):
+            return noise, None, pos
+        return noise, pos, pos + 1
 
-    def positivity_rows(self, n_vars, upper=False):
-        """0 <= cell . x rows (and optionally cell . x <= 1) per extreme point."""
-        rows = []
-        for point in self.theory.extreme_points:
-            for cell in self.cells:
-                coeffs = [_ZERO] * n_vars
-                for r, xr in enumerate(point):
-                    if xr:
-                        coeffs[self.var(cell, r)] = xr
-                row = tuple(coeffs)
-                rows.append((row, ">=", _ZERO))
-                if upper:
-                    rows.append((row, "<=", _ONE))
-        return rows
 
-    def bounds(self, n_vars):
-        flags = [False] * self.n_cell_vars + [True] * (n_vars - self.n_cell_vars)
-        return tuple(flags)
+def _family_program(grid, axes) -> lp.LinearProgram:
+    """Do the noisy versions (a_k + b_k*s)*M_k + noise of the family admit
+    a joint observable?  ``axes[k] = (a_k, b_k)``; maximizes ``s`` when
+    the program has one, and is a feasibility program otherwise.
 
-    def decode_joint(self, point) -> JointObservable:
-        effects = []
-        for i in range(len(self.cells)):
-            coeffs = tuple(point[i * self.dim + r] for r in range(self.dim))
-            effects.append(Effect(self.theory, coeffs))
-        axes = tuple(m.outcomes for m in self.observables)
-        return JointObservable(self.theory, axes, tuple(effects))
+    Rows, in order: the marginal equalities
+    ``cells - t_kj*unit - b_k*s*M_kj = a_k*M_kj`` per (axis, outcome,
+    coordinate); the noise total ``sum_j t_kj + b_k*s = 1 - a_k`` per axis
+    that is not sharp; ``b_k*s <= 1`` per axis with b_k != 0; and
+    ``cell . x >= 0`` per extreme point x and cell.
+    """
+    noise, scale, n = grid.layout(axes)
+    unit = grid.theory.unit
+    rows = []
+    for k, (m, (a, b)) in enumerate(zip(grid.observables, axes)):
+        for j, effect in enumerate(m.effects):
+            group = [c for c in grid.cells if c[k] == j]
+            for r, mr in enumerate(effect.coeffs):
+                coeffs = [_ZERO] * n
+                for cell in group:
+                    coeffs[grid.var(cell, r)] = _ONE
+                if noise[k] is not None:
+                    coeffs[noise[k] + j] = -unit[r]
+                if b:
+                    coeffs[scale] = -b * mr
+                rows.append((coeffs, "=", a * mr))
+    for m, (a, b), first in zip(grid.observables, axes, noise):
+        if first is not None:
+            coeffs = [_ZERO] * n
+            coeffs[first:first + len(m)] = [_ONE] * len(m)
+            if b:
+                coeffs[scale] = b
+            rows.append((coeffs, "=", 1 - a))
+    # implied by the noise totals, but kept: lazy solves seed their working
+    # set with a stride over the inequality rows, so these rows steer pivots
+    for _, b in axes:
+        if b:
+            coeffs = [_ZERO] * n
+            coeffs[scale] = b
+            rows.append((coeffs, "<=", _ONE))
+    for point in grid.theory.extreme_points:
+        for cell in grid.cells:
+            coeffs = [_ZERO] * n
+            for r, xr in enumerate(point):
+                if xr:
+                    coeffs[grid.var(cell, r)] = xr
+            rows.append((coeffs, ">=", _ZERO))
+    objective = None
+    if scale is not None:
+        objective = [_ZERO] * n
+        objective[scale] = _ONE
+    nonneg = [False] * grid.n_cell_vars + [True] * (n - grid.n_cell_vars)
+    return lp.LinearProgram.create(n, rows, objective=objective, nonneg=nonneg)
+
+
+class _Witness(NamedTuple):
+    joint: JointObservable
+    scale: Fraction  # s, or 0 when the program has none
+    sharpness: tuple[Fraction, ...]  # a_k + b_k*s per axis
+    noises: tuple[Distribution | None, ...]  # None at sharpness 1
+    marginals: tuple[Observable, ...]  # the noisy observables
+
+
+def _family_witness(grid, axes, point) -> _Witness:
+    """Decode the joint from an optimal point of :func:`_family_program`
+    and check each marginal exactly against the noisy observable
+    ``(a_k + b_k*s)*M_kj + t_kj*unit`` that it must equal."""
+    noise, scale, _ = grid.layout(axes)
+    dim = grid.dim
+    effects = tuple(Effect(grid.theory, point[i * dim:(i + 1) * dim])
+                    for i in range(len(grid.cells)))
+    joint = JointObservable(grid.theory, tuple(m.outcomes for m in grid.observables), effects)
+    s = _ZERO if scale is None else point[scale]
+    unit = grid.theory.unit
+    sharpness, noises, marginals = [], [], []
+    for k, (m, (a, b), first) in enumerate(zip(grid.observables, axes, noise)):
+        lam = a + b * s
+        t = (_ZERO,) * len(m) if first is None else point[first:first + len(m)]
+        expected = tuple(tuple(lam * c + tj * u for c, u in zip(e.coeffs, unit))
+                         for e, tj in zip(m.effects, t))
+        noisy_k = marginal(joint, k)
+        if tuple(e.coeffs for e in noisy_k.effects) != expected:
+            raise InternalError("joint witness fails exact marginal equality")
+        sharpness.append(lam)
+        noises.append(Distribution(tuple(tj / (1 - lam) for tj in t)) if lam < 1 else None)
+        marginals.append(noisy_k)
+    return _Witness(joint, s, tuple(sharpness), tuple(noises), tuple(marginals))
+
+
+def _solve_family(grid, axes):
+    """The solved program's Infeasible outcome, or its checked witness."""
+    out = lp.solve(_family_program(grid, axes))
+    if isinstance(out, lp.Optimal):
+        return _family_witness(grid, axes, out.point)
+    if not isinstance(out, lp.Infeasible):
+        raise InternalError("family program reported an unbounded direction")
+    if any(b for _, b in axes):
+        # s = 0 is always feasible: the scaled axes are pure noise there and
+        # the others sharp
+        raise InternalError("sharpness program must attain an optimum")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,52 +302,16 @@ class _Grid:
 
 
 def build_joint_lp(observables) -> lp.LinearProgram:
-    """Feasibility program for a joint observable of the given family.
-
-    Variables are the ``dim`` coefficients of every grid cell; the rows
-    are the marginal equalities followed, per extreme point and cell,
-    by the pair 0 <= cell.x and cell.x <= 1.
-    """
+    """Feasibility program for a joint observable of the given family."""
     grid = _Grid(observables)
-    n = grid.n_cell_vars
-    rows = grid.marginal_rows(n, lambda k, j, r: grid.observables[k].effects[j].coeffs[r])
-    rows += grid.positivity_rows(n, upper=True)
-    return lp.LinearProgram.create(n, rows, nonneg=grid.bounds(n))
-
-
-def _lean_joint_lp(grid):
-    """Same feasible set as build_joint_lp: upper rows are implied by the
-    marginal equalities plus nonnegativity, so they are omitted here."""
-    n = grid.n_cell_vars
-    rows = grid.marginal_rows(n, lambda k, j, r: grid.observables[k].effects[j].coeffs[r])
-    rows += grid.positivity_rows(n, upper=False)
-    return lp.LinearProgram.create(n, rows, nonneg=grid.bounds(n)), len(rows)
+    return _family_program(grid, [_SHARP] * len(grid.observables))
 
 
 def check_compatible(observables) -> CompatVerdict:
     """Decide joint measurability with an exact witness or certificate."""
     grid = _Grid(observables)
-    prog, _ = _lean_joint_lp(grid)
-    out = lp.solve(prog)
-    if isinstance(out, lp.Optimal):
-        joint = grid.decode_joint(out.point)
-        for axis, m in enumerate(grid.observables):
-            if marginal(joint, axis) != m:
-                raise InternalError("joint witness fails exact marginal equality")
-        return Compatible(joint)
-    if not isinstance(out, lp.Infeasible):
-        raise InternalError("feasibility program reported an unbounded direction")
-    # re-index the certificate onto the rows of build_joint_lp, whose
-    # positivity rows interleave a redundant upper bound after each
-    # nonnegativity row
-    n_marg = sum(len(m) for m in grid.observables) * grid.dim
-    farkas = list(out.farkas[:n_marg])
-    for y in out.farkas[n_marg:]:
-        farkas.extend((y, _ZERO))
-    certificate = lp.Infeasible(tuple(farkas))
-    if not lp.verify(build_joint_lp(observables), certificate):
-        raise InternalError("infeasibility certificate failed re-verification")
-    return Incompatible(certificate)
+    out = _solve_family(grid, [_SHARP] * len(grid.observables))
+    return Incompatible(out) if isinstance(out, lp.Infeasible) else Compatible(out.joint)
 
 
 # ---------------------------------------------------------------------------
@@ -282,45 +320,8 @@ def check_compatible(observables) -> CompatVerdict:
 
 def build_index_lp(first: Observable, second: Observable) -> lp.LinearProgram:
     """Program behind :func:`compat_index`: maximize the sharpness of
-    the second observable subject to joint measurability with the first.
-
-    Variables: grid-cell coefficients, one substituted noise variable
-    per outcome of the second observable (their sum is the noise
-    weight), and the sharpness itself.
-    """
-    grid = _Grid([first, second])
-    m2 = len(second)
-    n = grid.n_cell_vars + m2 + 1
-    t_var = lambda j: grid.n_cell_vars + j
-    lam = grid.n_cell_vars + m2
-
-    def rhs_of(k, j, r):
-        return first.effects[j].coeffs[r] if k == 0 else _ZERO
-
-    def extra_of(k, j, r):
-        if k == 0:
-            return {}
-        extra = {t_var(j): -grid.theory.unit[r]}
-        coeff = -second.effects[j].coeffs[r]
-        if coeff:
-            extra[lam] = coeff
-        return extra
-
-    rows = grid.marginal_rows(n, rhs_of, extra_of)
-    total = [_ZERO] * n
-    for j in range(m2):
-        total[t_var(j)] = _ONE
-    total[lam] = _ONE
-    rows.append((tuple(total), "=", _ONE))
-    cap = [_ZERO] * n
-    cap[lam] = _ONE
-    rows.append((tuple(cap), "<=", _ONE))
-    rows += grid.positivity_rows(n)
-
-    objective = [_ZERO] * n
-    objective[lam] = _ONE
-    return lp.LinearProgram.create(n, rows, objective=tuple(objective),
-                                   sense=lp.MAX, nonneg=grid.bounds(n))
+    the second observable subject to joint measurability with the first."""
+    return _family_program(_Grid([first, second]), _INDEX_AXES)
 
 
 def compat_index(first: Observable, second: Observable) -> IndexResult:
@@ -330,39 +331,8 @@ def compat_index(first: Observable, second: Observable) -> IndexResult:
     The optimum is attained, so the compatibility interval is the
     closed segment [0, lambda_star].
     """
-    grid = _Grid([first, second])
-    m2 = len(second)
-    t_var = lambda j: grid.n_cell_vars + j
-    lam = grid.n_cell_vars + m2
-    prog = build_index_lp(first, second)
-    out = lp.solve(prog)
-    if not isinstance(out, lp.Optimal):
-        raise InternalError("sharpness program must attain an optimum")
-
-    lam_star = out.point[lam]
-    noise_raw = [out.point[t_var(j)] for j in range(m2)]
-    joint = grid.decode_joint(out.point)
-    partner = Observable(
-        grid.theory,
-        second.outcomes,
-        tuple(
-            Effect(
-                grid.theory,
-                tuple(
-                    lam_star * c + tj * u
-                    for c, u in zip(eff.coeffs, grid.theory.unit)
-                ),
-            )
-            for eff, tj in zip(second.effects, noise_raw)
-        ),
-    )
-    if marginal(joint, 0) != first or marginal(joint, 1) != partner:
-        raise InternalError("sharpness witness fails exact marginal equality")
-    if lam_star < 1:
-        noise = Distribution(tuple(t / (1 - lam_star) for t in noise_raw))
-    else:
-        noise = None  # no noise left, its distribution is irrelevant
-    return IndexResult(lam_star, noise, joint, partner)
+    w = _solve_family(_Grid([first, second]), _INDEX_AXES)
+    return IndexResult(w.sharpness[1], w.noises[1], w.joint, w.marginals[1])
 
 
 def compat_interval(first: Observable, second: Observable) -> tuple[Fraction, Fraction]:
@@ -374,72 +344,42 @@ def compat_interval(first: Observable, second: Observable) -> tuple[Fraction, Fr
 # compatibility regions
 
 
-def _noise_vars(grid, n_offset):
-    """Variable indices t[k][j] for per-axis noise substitutes."""
-    table = []
-    pos = n_offset
-    for m in grid.observables:
-        table.append(list(range(pos, pos + len(m))))
-        pos += len(m)
-    return table, pos
-
-
-def build_region_lp(observables, lambdas) -> lp.LinearProgram:
-    """Feasibility program: do the lambda-sharp noisy versions admit a joint?"""
+def _membership_axes(grid, lambdas):
     lambdas = vec(lambdas)
-    grid = _Grid(observables)
     if len(lambdas) != len(grid.observables):
         raise InputError("need one sharpness per observable")
     if any(l < 0 or l > 1 for l in lambdas):
         raise InputError("sharpness values must lie in [0, 1]^n")
-    t_table, n = _noise_vars(grid, grid.n_cell_vars)
+    return [(l, _ZERO) for l in lambdas]
 
-    def rhs_of(k, j, r):
-        return lambdas[k] * grid.observables[k].effects[j].coeffs[r]
 
-    def extra_of(k, j, r):
-        return {t_table[k][j]: -grid.theory.unit[r]}
+def _scan_axes(grid, direction):
+    w = vec(direction)
+    if len(w) != len(grid.observables):
+        raise InputError("direction length does not match the family size")
+    if any(c < 0 for c in w) or sum(w) != 1:
+        raise InputError("directions must be nonnegative with unit sum")
+    return [(_ZERO, c) for c in w]
 
-    rows = grid.marginal_rows(n, rhs_of, extra_of)
-    for k, m in enumerate(grid.observables):
-        coeffs = [_ZERO] * n
-        for j in range(len(m)):
-            coeffs[t_table[k][j]] = _ONE
-        rows.append((tuple(coeffs), "=", 1 - lambdas[k]))
-    rows += grid.positivity_rows(n)
-    return lp.LinearProgram.create(n, rows, nonneg=grid.bounds(n))
+
+def build_region_lp(observables, lambdas) -> lp.LinearProgram:
+    """Feasibility program: do the lambda-sharp noisy versions admit a joint?"""
+    grid = _Grid(observables)
+    return _family_program(grid, _membership_axes(grid, lambdas))
 
 
 def region_membership(observables, lambdas) -> CompatVerdict:
     """Exact membership of a sharpness point in the compatibility region."""
-    lambdas = vec(lambdas)
     grid = _Grid(observables)
-    prog = build_region_lp(grid.observables, lambdas)
-    out = lp.solve(prog)
-    if isinstance(out, lp.Infeasible):
-        return Incompatible(out)
-    if not isinstance(out, lp.Optimal):
-        raise InternalError("membership program reported an unbounded direction")
-    joint = grid.decode_joint(out.point)
-    t_table, _ = _noise_vars(grid, grid.n_cell_vars)
-    for k, m in enumerate(grid.observables):
-        noisy_k = Observable(
-            grid.theory,
-            m.outcomes,
-            tuple(
-                Effect(
-                    grid.theory,
-                    tuple(
-                        lambdas[k] * c + out.point[t_table[k][j]] * u
-                        for c, u in zip(m.effects[j].coeffs, grid.theory.unit)
-                    ),
-                )
-                for j in range(len(m))
-            ),
-        )
-        if marginal(joint, k) != noisy_k:
-            raise InternalError("membership witness fails exact marginal equality")
-    return Compatible(joint)
+    out = _solve_family(grid, _membership_axes(grid, lambdas))
+    return Incompatible(out) if isinstance(out, lp.Infeasible) else Compatible(out.joint)
+
+
+def build_scan_lp(observables, direction) -> lp.LinearProgram:
+    """Program behind one boundary-scan direction: maximize the scaling
+    of the direction subject to membership, clipped to [0, 1]^n."""
+    grid = _Grid(observables)
+    return _family_program(grid, _scan_axes(grid, direction))
 
 
 def region_boundary_scan(observables, directions) -> list[RegionSample]:
@@ -453,81 +393,11 @@ def region_boundary_scan(observables, directions) -> list[RegionSample]:
     grid = _Grid(observables)
     samples = []
     for direction in directions:
-        w = vec(direction)
-        if len(w) != len(grid.observables):
-            raise InputError("direction length does not match the family size")
-        if any(c < 0 for c in w) or sum(w) != 1:
-            raise InputError("directions must be nonnegative with unit sum")
-        samples.append(_scan_direction(grid, w))
+        axes = _scan_axes(grid, direction)
+        w = _solve_family(grid, axes)
+        samples.append(RegionSample(tuple(b for _, b in axes), w.scale, w.sharpness,
+                                    w.joint, w.noises))
     return samples
-
-
-def build_scan_lp(observables, direction) -> lp.LinearProgram:
-    """Program behind one boundary-scan direction: maximize the scaling
-    of the direction subject to membership, clipped to [0, 1]^n."""
-    w = vec(direction)
-    grid = _Grid(observables)
-    if len(w) != len(grid.observables):
-        raise InputError("direction length does not match the family size")
-    return _scan_program(grid, w)
-
-
-def _scan_program(grid, w):
-    t_table, base = _noise_vars(grid, grid.n_cell_vars)
-    t_scale = base
-    n = base + 1
-
-    def rhs_of(k, j, r):
-        return _ZERO
-
-    def extra_of(k, j, r):
-        extra = {t_table[k][j]: -grid.theory.unit[r]}
-        coeff = -w[k] * grid.observables[k].effects[j].coeffs[r]
-        if coeff:
-            extra[t_scale] = extra.get(t_scale, _ZERO) + coeff
-        return extra
-
-    rows = grid.marginal_rows(n, rhs_of, extra_of)
-    for k, m in enumerate(grid.observables):
-        coeffs = [_ZERO] * n
-        for j in range(len(m)):
-            coeffs[t_table[k][j]] = _ONE
-        coeffs[t_scale] = w[k]
-        rows.append((tuple(coeffs), "=", _ONE))
-    for k in range(len(grid.observables)):
-        if w[k]:
-            coeffs = [_ZERO] * n
-            coeffs[t_scale] = w[k]
-            rows.append((tuple(coeffs), "<=", _ONE))
-    rows += grid.positivity_rows(n)
-
-    objective = [_ZERO] * n
-    objective[t_scale] = _ONE
-    return lp.LinearProgram.create(n, rows, objective=tuple(objective),
-                                   sense=lp.MAX, nonneg=grid.bounds(n))
-
-
-def _scan_direction(grid, w):
-    t_table, base = _noise_vars(grid, grid.n_cell_vars)
-    t_scale = base
-    prog = _scan_program(grid, w)
-    out = lp.solve(prog)
-    if not isinstance(out, lp.Optimal):
-        raise InternalError("boundary scan program must attain an optimum")
-    reach = out.value
-    boundary = tuple(reach * wk for wk in w)
-    joint = grid.decode_joint(out.point)
-    noises = []
-    for k, m in enumerate(grid.observables):
-        lam_k = boundary[k]
-        if lam_k < 1:
-            noises.append(Distribution(tuple(
-                out.point[t_table[k][j]] / (1 - lam_k) for j in range(len(m))
-            )))
-        else:
-            noises.append(None)
-    return RegionSample(tuple(w), reach, boundary, joint, tuple(noises))
-
 
 def angular_directions(count: int) -> list[tuple[Fraction, Fraction]]:
     """Unit-sum rational directions on a uniform angular grid (two axes)."""

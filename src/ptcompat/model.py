@@ -133,29 +133,6 @@ class Effect:
         coords = state.coords if isinstance(state, State) else state
         return dot(self.coeffs, coords)
 
-    def __add__(self, other: "Effect") -> "Effect":
-        self._same_theory(other)
-        return Effect(self.theory, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Effect") -> "Effect":
-        self._same_theory(other)
-        return Effect(self.theory, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, factor) -> "Effect":
-        f = frac(factor)
-        return Effect(self.theory, tuple(f * c for c in self.coeffs))
-
-    def _same_theory(self, other):
-        if self.theory != other.theory:
-            raise InputError("effects belong to different theories")
-
-
-def unit_effect(theory: TheorySpace) -> Effect:
-    return Effect(theory, theory.unit)
-
-
-def zero_effect(theory: TheorySpace) -> Effect:
-    return Effect(theory, (Fraction(0),) * theory.dim)
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,6 @@ def test_bloch_sequences_are_nested_prefixes():
     assert large.extreme_points[:32] == small.extreme_points
 
 
-def test_bloch_octahedron_scheme_flag():
-    assert catalog.bloch_polytope(6, scheme="octahedron").name == "bloch-octahedron"
-    with pytest.raises(InputError):
-        catalog.bloch_polytope(8, scheme="octahedron")
-    with pytest.raises(InputError):
-        catalog.bloch_polytope(8, scheme="circumscribed")
-
-
 def test_random_observable_contract():
     t = catalog.even_logic_cube()
     single = catalog.random_observable(t, 1, 0)

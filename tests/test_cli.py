@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from ptcompat import catalog, serialize
+from ptcompat import catalog, model, serialize
 from ptcompat.cli import RunConfig, execute, main
 
 F = Fraction
@@ -186,3 +186,37 @@ def test_execute_is_reproducible():
 
     check_cfg = RunConfig(command="check", inputs=("X@gbit-square", "Y@gbit-square"))
     assert execute(check_cfg) == execute(check_cfg)
+
+
+def test_file_shadowing_a_catalog_theory_is_refused(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # a triangle under the square's name: X and Y would be compatible on it
+    stray = model.TheorySpace.make("gbit-square", 3, [[1, 1, 1], [1, 1, -1], [1, -1, 1]],
+                                   [1, 0, 0])
+    (tmp_path / "gbit-square").write_text(serialize.dumps(serialize.theory_to_doc(stray)))
+    res = invoke("index", "--theory", "gbit-square", "X", "Y")
+    assert res.exit_code == 2
+    assert "'gbit-square' names both a file and a builtin catalog theory" in res.output
+
+    res = invoke("index", "--theory", "./gbit-square", "X", "Y")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["lambda_star"] == 1
+
+
+def test_file_shadowing_a_builtin_observable_is_refused(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    obs = catalog.square_gbit_observables(catalog.square_gbit())
+    write_observable(tmp_path / "X", obs["D1"])
+    res = invoke("check", "--theory", "gbit-square", "X", "D2")
+    assert res.exit_code == 2
+    assert "'X' names both a file and a builtin observable" in res.output
+    # without --theory a bare X names no builtin, so the file is meant
+    res = invoke("check", "X", "D2@gbit-square")
+    assert res.exit_code == 0
+
+    write_observable(tmp_path / "X@gbit-square", obs["D1"])
+    res = invoke("check", "X@gbit-square", "D2@gbit-square")
+    assert res.exit_code == 2
+    res = invoke("check", "./X@gbit-square", "D2@gbit-square")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["verdict"] == "compatible"

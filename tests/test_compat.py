@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, compat, lp, model
 from ptcompat.errors import InputError
@@ -85,7 +87,7 @@ def test_product_joint_with_trivial_and_marginals():
 def test_diagonal_self_joint():
     t = catalog.square_gbit()
     M = catalog.square_gbit_observables(t)["X"]
-    zero = model.zero_effect(t)
+    zero = model.Effect(t, (F(0),) * t.dim)
     diag = compat.JointObservable(
         t,
         (M.outcomes, M.outcomes),
@@ -126,14 +128,81 @@ def test_marginal_axis_out_of_range():
         compat.marginal(verdict.witness, 2)
 
 
-def test_permute_axes_transposes_witness():
-    t = catalog.even_logic_cube()
-    M, N = rand_pair(t, 9)
-    verdict = compat.check_compatible([M, N])
-    if isinstance(verdict, compat.Compatible):
-        swapped = compat.permute_axes(verdict.witness, (1, 0))
-        assert compat.marginal(swapped, 0) == N
-        assert compat.marginal(swapped, 1) == M
+# ---------------------------------------------------------------------------
+# one family program behind every question
+
+DATA = Path(__file__).parent / "data"
+EXAMPLES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def functions_of_one(theory, seed):
+    M = catalog.random_observable(theory, 3, seed)
+    f = model.OutcomeMap.make({"0": "p", "1": "q", "2": "q"})
+    g = model.OutcomeMap.make({"0": "u", "1": "u", "2": "v"})
+    return model.post_process(M, f), model.post_process(M, g)
+
+
+# seeded random pairs (mostly incompatible off the simplices) and pairs
+# of functions of one observable (always compatible)
+seeded_pairs = st.builds(
+    lambda make, theory, seed: make(theory, seed),
+    st.sampled_from([rand_pair, functions_of_one]),
+    st.sampled_from(small_theories()),
+    st.integers(0, 10**6),
+)
+eighths = st.integers(0, 8).map(lambda i: F(i, 8))
+
+
+def cells(joint):
+    return tuple(c for e in joint.effects for c in e.coeffs)
+
+
+@EXAMPLES
+@given(seeded_pairs)
+def test_plain_membership_and_index_agree_at_full_sharpness(pair):
+    pair = list(pair)
+    plain = isinstance(compat.check_compatible(pair), compat.Compatible)
+    member = isinstance(compat.region_membership(pair, (1, 1)), compat.Compatible)
+    assert plain == member == (compat.compat_index(*pair).lambda_star == 1)
+    # sharp membership axes carry no noise block, so this is the same program
+    assert compat.build_region_lp(pair, (1, 1)) == compat.build_joint_lp(pair)
+
+
+@EXAMPLES
+@given(seeded_pairs, st.tuples(eighths, eighths), eighths)
+def test_every_question_is_the_solve_of_its_public_program(pair, point, w1):
+    pair = list(pair)
+
+    def same_verdict(verdict, out):
+        if isinstance(out, lp.Infeasible):
+            return verdict == compat.Incompatible(out)
+        joint = cells(verdict.witness)
+        return joint == out.point[:len(joint)]
+
+    assert same_verdict(compat.check_compatible(pair), lp.solve(compat.build_joint_lp(pair)))
+    assert same_verdict(compat.region_membership(pair, point),
+                        lp.solve(compat.build_region_lp(pair, point)))
+
+    result = compat.compat_index(*pair)
+    out = lp.solve(compat.build_index_lp(*pair))
+    joint = cells(result.joint)
+    assert (result.lambda_star, joint) == (out.value, out.point[:len(joint)])
+
+    direction = (w1, 1 - w1)
+    (sample,) = compat.region_boundary_scan(pair, [direction])
+    out = lp.solve(compat.build_scan_lp(pair, direction))
+    joint = cells(sample.joint)
+    assert (sample.reach, joint) == (out.value, out.point[:len(joint)])
+
+
+def test_index_and_scan_program_layouts_are_pinned():
+    # the row order steers the lazy solver's pivots, so it must not drift
+    square = catalog.square_gbit_observables(catalog.square_gbit())
+    text = lp.lp_to_text(compat.build_index_lp(square["X"], square["D1"]))
+    assert text == (DATA / "index_gbit_square_X_D1.lp").read_text()
+    cube = catalog.even_logic_observables(catalog.even_logic_cube())
+    text = lp.lp_to_text(compat.build_scan_lp([cube["A"], cube["B"]], (F(1, 3), F(2, 3))))
+    assert text == (DATA / "scan_even_logic_cube_A_B.lp").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +310,7 @@ def test_region_swap_symmetry_at_implementation_level():
         backward = compat.region_membership([N, M], (b, a))
         assert isinstance(forward, compat.Compatible) == isinstance(backward, compat.Compatible)
         if isinstance(forward, compat.Compatible):
-            swapped = compat.permute_axes(forward.witness, (1, 0))
-            assert compat.marginal(swapped, 0) == compat.marginal(backward.witness, 0)
+            assert compat.marginal(forward.witness, 1) == compat.marginal(backward.witness, 0)
 
 
 def test_scan_axis_direction_reaches_one():
@@ -300,10 +368,7 @@ def test_angular_directions_grid():
 
 def test_functions_of_one_observable_are_compatible():
     for theory in small_theories():
-        M = catalog.random_observable(theory, 3, 17)
-        f = model.OutcomeMap.make({"0": "p", "1": "q", "2": "q"})
-        g = model.OutcomeMap.make({"0": "u", "1": "u", "2": "v"})
-        verdict = compat.check_compatible([model.post_process(M, f), model.post_process(M, g)])
+        verdict = compat.check_compatible(list(functions_of_one(theory, 17)))
         assert isinstance(verdict, compat.Compatible)
 
 
