@@ -91,17 +91,21 @@ class JointObservable:
 
 def marginal(joint: JointObservable, axis: int) -> Observable:
     """Sum the grid effects over all axes except ``axis``."""
-    sizes = joint.shape
-    if not 0 <= axis < len(sizes):
+    if not 0 <= axis < len(joint.shape):
         raise InputError("axis out of range")
-    dim = joint.theory.dim
-    sums = [[_ZERO] * dim for _ in range(sizes[axis])]
+    effects = tuple(Effect(joint.theory, s) for s in _marginal_sums(joint, axis))
+    return Observable(joint.theory, joint.axes[axis], effects)
+
+
+def _marginal_sums(joint, axis):
+    """Coefficient tuples of the marginal along ``axis``, one per outcome."""
+    sizes = joint.shape
+    sums = [[_ZERO] * joint.theory.dim for _ in range(sizes[axis])]
     for cell, effect in zip(itertools.product(*(range(m) for m in sizes)), joint.effects):
         acc = sums[cell[axis]]
         for j, c in enumerate(effect.coeffs):
             acc[j] += c
-    effects = tuple(Effect(joint.theory, tuple(s)) for s in sums)
-    return Observable(joint.theory, joint.axes[axis], effects)
+    return [tuple(acc) for acc in sums]
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,6 @@ class _Witness(NamedTuple):
     scale: Fraction  # s, or 0 when the program has none
     sharpness: tuple[Fraction, ...]  # a_k + b_k*s per axis
     noises: tuple[Distribution | None, ...]  # None at sharpness 1
-    marginals: tuple[Observable, ...]  # the noisy observables
 
 
 def _family_witness(grid, axes, point) -> _Witness:
@@ -268,19 +271,17 @@ def _family_witness(grid, axes, point) -> _Witness:
     joint = JointObservable(grid.theory, tuple(m.outcomes for m in grid.observables), effects)
     s = _ZERO if scale is None else point[scale]
     unit = grid.theory.unit
-    sharpness, noises, marginals = [], [], []
+    sharpness, noises = [], []
     for k, (m, (a, b), first) in enumerate(zip(grid.observables, axes, noise)):
         lam = a + b * s
         t = (_ZERO,) * len(m) if first is None else point[first:first + len(m)]
-        expected = tuple(tuple(lam * c + tj * u for c, u in zip(e.coeffs, unit))
-                         for e, tj in zip(m.effects, t))
-        noisy_k = marginal(joint, k)
-        if tuple(e.coeffs for e in noisy_k.effects) != expected:
+        expected = [tuple(lam * c + tj * u for c, u in zip(e.coeffs, unit))
+                    for e, tj in zip(m.effects, t)]
+        if _marginal_sums(joint, k) != expected:
             raise InternalError("joint witness fails exact marginal equality")
         sharpness.append(lam)
         noises.append(Distribution(tuple(tj / (1 - lam) for tj in t)) if lam < 1 else None)
-        marginals.append(noisy_k)
-    return _Witness(joint, s, tuple(sharpness), tuple(noises), tuple(marginals))
+    return _Witness(joint, s, tuple(sharpness), tuple(noises))
 
 
 def _solve_family(grid, axes):
@@ -332,7 +333,7 @@ def compat_index(first: Observable, second: Observable) -> IndexResult:
     closed segment [0, lambda_star].
     """
     w = _solve_family(_Grid([first, second]), _INDEX_AXES)
-    return IndexResult(w.sharpness[1], w.noises[1], w.joint, w.marginals[1])
+    return IndexResult(w.sharpness[1], w.noises[1], w.joint, marginal(w.joint, 1))
 
 
 def compat_interval(first: Observable, second: Observable) -> tuple[Fraction, Fraction]:

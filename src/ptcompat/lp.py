@@ -13,9 +13,16 @@ All data are ``fractions.Fraction``; results are exact, never rounded.
 
 Outcomes
 --------
-``Optimal(point, value)``
+``Optimal(point, value, duals)``
     The point satisfies every constraint and bound exactly and
-    ``value == c . point`` (0 for feasibility-only programs).
+    ``value == c . point`` (0 for feasibility-only programs).  Programs
+    with an objective also carry one dual per row, which proves that no
+    feasible point does better.  For ``max``: ``y >= 0`` on ``<=``
+    rows, ``y <= 0`` on ``>=`` rows, free on ``=`` rows, ``A^T y >= c``
+    on nonnegative variables, ``A^T y == c`` on free ones, and
+    ``b . y == value``; then ``c . x <= (A^T y) . x <= b . y`` for every
+    feasible ``x``.  ``min`` mirrors every inequality.  Duals take no
+    part in equality between outcomes; feasibility programs carry none.
 
 ``Infeasible(farkas)``
     One multiplier per constraint row proving the rows contradictory.
@@ -46,8 +53,29 @@ end.  Programs with many inequality rows are solved by deterministic
 lazy row generation: certificates returned for the full program remain
 exact (omitted rows simply carry zero multipliers).
 
-The only presolve step is removal of all-zero rows, which keeps
-certificates auditable row by row.
+Presolve
+--------
+Free variables are eliminated through equality rows before the simplex
+runs.  The equality rows are taken in index order; each one pivots on its
+first free variable with a nonzero coefficient, and an exact
+Gauss-Jordan step substitutes that variable into every other row and
+into the objective.  The steps are fraction-free: each row is held as
+integers over one common denominator, in lowest terms, and turned back
+into the same Fractions at the end.  The remaining rows keep their order
+over the remaining variables.  An equality row left without a free
+variable stays as a row; all-zero rows are then dropped when they hold
+(``0 = 0``) and refute the program when they do not (``0 = b != 0``).
+Results are mapped back onto the original program:
+
+* points and rays by substitution into the eliminated rows;
+* multipliers (Farkas and duals) by keeping those of the remaining rows
+  and giving each eliminated row the unique weight that cancels the
+  combination on its eliminated variable (for duals: that matches the
+  objective there), which is the combination its substitution
+  contributed.
+
+So certificates always index the rows of the program as given, and they
+are verified against it.
 
 Programs and outcomes are immutable values safe to share; each internal
 solver instance is single-use and confined to its call, so distinct
@@ -56,9 +84,10 @@ solves may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 
@@ -118,7 +147,7 @@ class LinearProgram:
         ``constraints`` is an iterable of ``(coeffs, relation, rhs)``;
         ``nonneg`` is a single bool applied to all variables or one bool
         per variable.  Numeric entries may be ints, Fractions, or
-        strings like ``"2/3"``.
+        strings like ``"2/3"``; Fractions are kept as they are.
         """
         if isinstance(nonneg, bool):
             bounds = (nonneg,) * num_vars
@@ -128,19 +157,24 @@ class LinearProgram:
         rels = []
         rhs = []
         for coeffs, rel, b in constraints:
-            rows.append(tuple(Fraction(c) for c in coeffs))
+            rows.append(tuple(map(_rational, coeffs)))
             rels.append(rel)
-            rhs.append(Fraction(b))
-        obj = None if objective is None else tuple(Fraction(c) for c in objective)
+            rhs.append(_rational(b))
+        obj = None if objective is None else tuple(map(_rational, objective))
         if sense is None:
             sense = FEASIBILITY if obj is None else MAX
         return cls(num_vars, bounds, tuple(rows), tuple(rels), tuple(rhs), obj, sense)
+
+
+def _rational(c):
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 @dataclass(frozen=True)
 class Optimal:
     point: tuple[Fraction, ...]
     value: Fraction
+    duals: tuple[Fraction, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -159,7 +193,11 @@ LpOutcome = Optimal | Infeasible | Unbounded
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome's certificate with exact arithmetic only."""
     if isinstance(outcome, Optimal):
-        return _verify_point(lp, outcome.point, outcome.value)
+        if not _verify_point(lp, outcome.point, outcome.value):
+            return False
+        if lp.objective is None:
+            return outcome.duals is None
+        return _verify_duals(lp, outcome.duals, outcome.value)
     if isinstance(outcome, Infeasible):
         return _verify_farkas(lp, outcome.farkas)
     if isinstance(outcome, Unbounded):
@@ -183,6 +221,30 @@ def _verify_point(lp, point, value):
             return False
     expected = _dot(lp.objective, point) if lp.objective is not None else _ZERO
     return value == expected
+
+
+def _verify_duals(lp, duals, value):
+    if duals is None or len(duals) != len(lp.rows):
+        return False
+    sign = 1 if lp.sense == MAX else -1  # min mirrors every inequality
+    combined = [_ZERO] * lp.num_vars
+    bound = _ZERO
+    for y, row, rel, b in zip(duals, lp.rows, lp.relations, lp.rhs):
+        if (rel == "<=" and sign * y < 0) or (rel == ">=" and sign * y > 0):
+            return False
+        if not y:
+            continue
+        for j, a in enumerate(row):
+            if a:
+                combined[j] += y * a
+        bound += y * b
+    for r, c, nn in zip(combined, lp.objective, lp.nonneg):
+        if nn:
+            if sign * (r - c) < 0:
+                return False
+        elif r != c:
+            return False
+    return bound == value
 
 
 def _verify_farkas(lp, farkas):
@@ -237,26 +299,174 @@ def _dot(row, vec):
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; the returned outcome always passes :func:`verify`."""
-    outcome, _ = solve_with_duals(lp)
+    elimination = _Elimination(lp)
+    reduced = elimination.reduced
+    kept, early = _presolve(reduced)
+    if early is not None:
+        outcome = early
+    elif len(kept) > _LAZY_MIN_ROWS:
+        outcome = _solve_lazy(reduced, kept)
+    else:
+        outcome = _finish(reduced, _Simplex(reduced, kept).run())
+    outcome = elimination.restore(outcome)
+    if not verify(lp, outcome):
+        raise InternalError("solver produced an outcome that fails exact verification")
     return outcome
 
 
-def solve_with_duals(lp: LinearProgram):
-    """Like :func:`solve` but also returns row duals for Optimal outcomes.
+class _Program(NamedTuple):
+    """A program after elimination: LinearProgram's fields, unvalidated
+    (every variable may be gone)."""
 
-    The duals y satisfy ``sum_i y_i b_i == value`` at optimality
-    (None for feasibility-only programs and non-Optimal outcomes).
-    """
-    kept, early = _presolve(lp)
-    if early is not None:
-        outcome, duals = early, None
-    elif len(kept) > _LAZY_MIN_ROWS:
-        outcome, duals = _solve_lazy(lp, kept)
-    else:
-        outcome, duals = _finish(lp, _Simplex(lp, kept).run())
-    if not verify(lp, outcome):
-        raise InternalError("solver produced an outcome that fails exact verification")
-    return outcome, duals
+    num_vars: int
+    nonneg: tuple[bool, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    relations: tuple[str, ...]
+    rhs: tuple[Fraction, ...]
+    objective: tuple[Fraction, ...] | None
+    sense: str
+
+
+class _Elimination:
+    """Free variables eliminated through equality rows, and the way back
+    (see "Presolve" in the module docstring)."""
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.pivots = []  # (row, variable) in elimination order
+        free = [j for j, nn in enumerate(lp.nonneg) if not nn]
+        equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
+        if not free or not equalities:
+            self.reduced = lp
+            return
+        n = lp.num_vars
+        # each row, right side last, as integers over one common denominator
+        rows = [_integer_row((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
+        objective = None if lp.objective is None else _integer_row((*lp.objective, _ZERO))
+        # the combination of original rows that each equality row has become
+        combos = {i: {i: _ONE} for i in equalities}
+        for i in equalities:
+            nums, den = rows[i]
+            v = next((j for j in free if nums[j]), None)
+            if v is None:
+                continue
+            free.remove(v)
+            p = nums[v]
+            support = [(j, a) for j, a in enumerate(nums) if a]
+            for k, (other, other_den) in enumerate(rows):
+                f = other[v]
+                if not f or k == i:
+                    continue
+                combo = combos.get(k)
+                if combo is not None:
+                    ratio = Fraction(f * den, other_den * p)  # row k's v over row i's
+                    for l, t in combos[i].items():
+                        combo[l] = combo.get(l, _ZERO) - ratio * t
+                rows[k] = _eliminate(other, other_den, p, f, support)
+            if objective is not None and objective[0][v]:
+                objective = _eliminate(*objective, p, objective[0][v], support)
+            self.pivots.append((i, v))
+
+        gone = {v for _, v in self.pivots}
+        pivot_rows = {i for i, _ in self.pivots}
+        self.kept_vars = [j for j in range(n) if j not in gone]
+        self.kept_rows = [i for i in range(len(rows)) if i not in pivot_rows]
+        # each eliminated row scaled to 1 on its variable, with its combination
+        self.solved = {}
+        for i, v in self.pivots:
+            nums, den = rows[i]
+            self.solved[i] = ([Fraction(a, nums[v]) if a else _ZERO for a in nums],
+                              {l: t * den / nums[v] for l, t in combos[i].items()})
+        kept = self.kept_vars
+        self.reduced = _Program(
+            len(kept),
+            tuple(lp.nonneg[j] for j in kept),
+            tuple(_exact(*rows[i], kept) for i in self.kept_rows),
+            tuple(lp.relations[i] for i in self.kept_rows),
+            tuple(Fraction(rows[i][0][n], rows[i][1]) for i in self.kept_rows),
+            None if objective is None else _exact(*objective, kept),
+            lp.sense,
+        )
+
+    def restore(self, outcome):
+        """Map an outcome of the reduced program onto the original one."""
+        if not self.pivots:
+            return outcome
+        lp = self.lp
+        if isinstance(outcome, Optimal):
+            point = self._lift(outcome.point, homogeneous=False)
+            value = _dot(lp.objective, point) if lp.objective is not None else _ZERO
+            duals = None
+            if outcome.duals is not None:
+                duals = self._multipliers(outcome.duals, lp.objective, signed=False)
+            return Optimal(point, value, duals)
+        if isinstance(outcome, Infeasible):
+            return Infeasible(self._multipliers(outcome.farkas, None, signed=True))
+        return Unbounded(self._lift(outcome.ray, homogeneous=True))
+
+    def _lift(self, values, homogeneous):
+        """Fill in each eliminated variable from its (normalized) row."""
+        x = [_ZERO] * self.lp.num_vars
+        for j, value in zip(self.kept_vars, values):
+            x[j] = value
+        for i, v in self.pivots:
+            row = self.solved[i][0]
+            total = _ZERO if homogeneous else row[-1]
+            for j in self.kept_vars:
+                if row[j] and x[j]:
+                    total -= row[j] * x[j]
+            x[v] = total
+        return tuple(x)
+
+    def _multipliers(self, reduced, target, signed):
+        """Row multipliers of the original program from those of the reduced
+        one: kept rows keep theirs, and the eliminated rows get weights
+        under which the combination equals ``target`` (zero when None) on
+        every eliminated variable.  ``signed``: Farkas convention, where a
+        ``>=`` row enters negated."""
+        lp = self.lp
+        y = [_ZERO] * len(lp.rows)
+        active = []
+        for i, value in zip(self.kept_rows, reduced):
+            if value:
+                y[i] = value
+                active.append((lp.rows[i], -value if signed and lp.relations[i] == ">=" else value))
+        for i, v in self.pivots:
+            # the final row i is 1 on v and 0 on every other eliminated variable
+            z = _ZERO if target is None else target[v]
+            for row, weight in active:
+                if row[v]:
+                    z -= weight * row[v]
+            if z:
+                for l, t in self.solved[i][1].items():
+                    y[l] += z * t
+        return tuple(y)
+
+
+def _integer_row(values):
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _eliminate(nums, den, p, f, support):
+    """The row ``nums/den``, whose numerator on the pivot variable is
+    ``f``, minus the multiple of the pivot row that cancels that entry.
+    ``support`` lists the pivot row's nonzero integer entries and ``p`` is
+    the one on the pivot variable; the denominators cancel, so the result
+    is ``(p*nums - f*pivot) / (p*den)``, returned in lowest terms."""
+    out = [p * a for a in nums]
+    for j, a in support:
+        out[j] -= f * a
+    den *= p
+    g = gcd(den, *out)
+    if g > 1:
+        out = [a // g for a in out]
+        den //= g
+    return out, den
+
+
+def _exact(nums, den, columns):
+    return tuple(Fraction(nums[j], den) if nums[j] else _ZERO for j in columns)
 
 
 def _presolve(lp):
@@ -281,18 +491,18 @@ def _finish(lp, raw):
     if status == "optimal":
         value = _dot(lp.objective, raw["point"]) if lp.objective is not None else _ZERO
         duals = None
-        if raw.get("duals") is not None:
+        if raw["duals"] is not None:
             duals = [_ZERO] * len(lp.rows)
             for i, y in raw["duals"].items():
                 duals[i] = y
             duals = tuple(duals)
-        return Optimal(tuple(raw["point"]), value), duals
+        return Optimal(tuple(raw["point"]), value, duals)
     if status == "infeasible":
         farkas = [_ZERO] * len(lp.rows)
         for i, y in raw["farkas"].items():
             farkas[i] = y
-        return Infeasible(tuple(farkas)), None
-    return Unbounded(tuple(raw["ray"])), None
+        return Infeasible(tuple(farkas))
+    return Unbounded(tuple(raw["ray"]))
 
 
 # ---------------------------------------------------------------------------

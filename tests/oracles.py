@@ -5,7 +5,9 @@ enumerator solves 2-variable programs geometrically, the joint-
 distribution oracle decides dichotomic compatibility on tiny theories by
 interval arithmetic over per-vertex outcome tables, and the bisection
 oracle brackets the one-sided noise threshold through repeated
-feasibility queries instead of the single maximizing program.
+feasibility queries instead of the single maximizing program.  The
+witness oracle checks a joint observable given as bare coefficient
+tuples against the definition of a noisy family.
 """
 
 from __future__ import annotations
@@ -126,3 +128,35 @@ def bisect_noise_threshold(M, N, membership, tol=Fraction(1, 1000)):
         else:
             hi = mid
     return lo, hi
+
+
+def witness_marginals_ok(cells, observables, lambdas, vertices, unit):
+    """Is ``cells`` a joint observable of the noisy family
+    ``lambda_k*M_k + t_k*unit``?
+
+    ``cells`` lists coefficient tuples row-major over the outcome grid of
+    ``observables``.  Passes iff, on every axis k, the cells with index j
+    sum to ``lambda_k*M_kj + t_kj*unit`` for numbers t_kj >= 0 with
+    ``sum_j t_kj == 1 - lambda_k``, and every cell is >= 0 at every
+    vertex.
+    """
+    shape = [len(m.effects) for m in observables]
+    grid = list(itertools.product(*(range(size) for size in shape)))
+    if len(cells) != len(grid):
+        return False
+    lead = next(r for r, u in enumerate(unit) if u)
+    for k, (m, lam) in enumerate(zip(observables, lambdas)):
+        noise = []
+        for j, effect in enumerate(m.effects):
+            total = [ZERO] * len(unit)
+            for index, cell in zip(grid, cells):
+                if index[k] == j:
+                    total = [s + c for s, c in zip(total, cell)]
+            rest = [s - lam * c for s, c in zip(total, effect.coeffs)]
+            t = rest[lead] / unit[lead]
+            if rest != [t * u for u in unit] or t < 0:
+                return False
+            noise.append(t)
+        if sum(noise) != 1 - lam:
+            return False
+    return all(sum(c * x for c, x in zip(cell, v)) >= 0 for cell in cells for v in vertices)

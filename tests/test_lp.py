@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ptcompat import lp
+from ptcompat import catalog, compat, lp
 from ptcompat.errors import InputError
-from oracles import best_vertex_2var
+from oracles import best_vertex_2var, witness_marginals_ok
 
 F = Fraction
 
@@ -110,10 +111,16 @@ def test_verify_rejects_tampered_certificates():
     flipped = lp.Infeasible((-out.farkas[0], out.farkas[1]))
     assert not lp.verify(prog, flipped)
 
-    box = simple_lp([((1,), "<=", 1)], objective=(1,), sense=lp.MAX)
+    # every tampered point below keeps the optimal value and the true duals,
+    # so only the point's own checks can refuse it
+    box = simple_lp([((1, 0), "<=", 1), ((0, 1), "<=", 0)], objective=(1, 0), sense=lp.MAX)
     good = lp.solve(box)
-    assert not lp.verify(box, lp.Optimal((F(2),), F(2)))
-    assert not lp.verify(box, lp.Optimal(good.point, good.value + 1))
+    assert lp.verify(box, lp.Optimal(good.point, good.value, good.duals))
+    assert lp.verify(box, lp.Optimal((F(1), F(0)), F(1), (F(1), F(0))))
+    assert not lp.verify(box, lp.Optimal((F(1), F(1)), F(1), good.duals))  # breaks a row
+    assert not lp.verify(box, lp.Optimal((F(1), F(-1)), F(1), good.duals))  # negative coordinate
+    assert not lp.verify(box, lp.Optimal((F(0), F(0)), F(1), good.duals))  # value is not c.x
+    assert not lp.verify(box, lp.Optimal((F(1),), F(1), good.duals))  # wrong length
 
 
 def test_malformed_programs_rejected():
@@ -158,19 +165,73 @@ def test_soundness_on_random_corpus():
     assert min(seen.values()) > 0, seen
 
 
+def _dual_certificate_ok(prog, value, duals):
+    """Full dual feasibility, written out for max; min flips every sign."""
+    sign = 1 if prog.sense == lp.MAX else -1
+    for y, rel in zip(duals, prog.relations):
+        if rel == "<=" and sign * y < 0 or rel == ">=" and sign * y > 0:
+            return False
+    for j, (c, nonneg) in enumerate(zip(prog.objective, prog.nonneg)):
+        column = sum(y * row[j] for y, row in zip(duals, prog.rows))
+        if column != c and (not nonneg or sign * (column - c) < 0):
+            return False
+    return sum(y * b for y, b in zip(duals, prog.rhs)) == value
+
+
 def test_duality_spot_check():
     rng = random.Random(777)
     checked = 0
     for _ in range(200):
         prog = _random_program(rng)
-        out, duals = lp.solve_with_duals(prog)
+        out = lp.solve(prog)
         if not isinstance(out, lp.Optimal):
             continue
-        assert duals is not None
-        dual_value = sum(y * b for y, b in zip(duals, prog.rhs))
-        assert dual_value == out.value
+        assert len(out.duals) == len(prog.rows)
+        assert _dual_certificate_ok(prog, out.value, out.duals)
         checked += 1
     assert checked > 50
+
+
+def test_verify_rejects_tampered_duals():
+    # x free, y >= 0: x + y = 3, x <= 1, maximize x - y; the optimum (1, 2)
+    # has the unique duals (-1, 2)
+    prog = lp.LinearProgram.create(
+        2, [((1, 1), "=", 3), ((1, 0), "<=", 1)], objective=(1, -1), sense=lp.MAX,
+        nonneg=(False, True))
+    out = lp.solve(prog)
+    assert out.point == (F(1), F(2)) and out.duals == (F(-1), F(2))
+    for i in range(len(prog.rows)):
+        bumped = tuple(y + F(1, 7) * (k == i) for k, y in enumerate(out.duals))
+        assert not lp.verify(prog, lp.Optimal(out.point, out.value, bumped))
+    # (0, 3) is feasible but not optimal: its value is below b . y
+    assert not lp.verify(prog, lp.Optimal((F(0), F(3)), F(-3), out.duals))
+    # right value and signs, but A^T y misses the objective on the free x
+    assert not lp.verify(prog, lp.Optimal(out.point, out.value, (F(-1, 2), F(1, 2))))
+    assert not lp.verify(prog, lp.Optimal(out.point, out.value))  # no duals at all
+    assert not lp.verify(prog, lp.Optimal(out.point, out.value, out.duals + (F(0),)))
+
+    # x >= 0: x <= 1, -x <= 0, maximize x; (1, 1) has the right value and
+    # signs but A^T y = 0 < 1 on x
+    cap = simple_lp([((1,), "<=", 1), ((-1,), "<=", 0)], objective=(1,), sense=lp.MAX)
+    out = lp.solve(cap)
+    assert lp.verify(cap, out)
+    assert not lp.verify(cap, lp.Optimal(out.point, out.value, (F(1), F(1))))
+
+    # x free: x <= 1 and -x >= -1 state one cap twice; (2, 1) balances the
+    # objective and the value but has the wrong sign on the >= row, and
+    # minimizing -x mirrors every sign
+    for objective, sense, wrong in (((1,), lp.MAX, (F(2), F(1))),
+                                    ((-1,), lp.MIN, (F(-2), F(-1)))):
+        twice = lp.LinearProgram.create(1, [((1,), "<=", 1), ((-1,), ">=", -1)],
+                                        objective=objective, sense=sense, nonneg=False)
+        out = lp.solve(twice)
+        assert lp.verify(twice, out)
+        assert not lp.verify(twice, lp.Optimal(out.point, out.value, wrong))
+
+    feasibility = simple_lp([((1, 1), "<=", 4)])
+    found = lp.solve(feasibility)
+    assert found.duals is None
+    assert not lp.verify(feasibility, lp.Optimal(found.point, found.value, (F(0),)))
 
 
 def test_determinism_bit_identical():
@@ -233,3 +294,136 @@ def test_dump_format_round_trips_by_eye():
     assert lines[2] == "minimize 1 0"
     assert lines[3] == "row 1/3 2 <= 5/2"
     assert lines[4] == "row 1 -1 = 0"
+
+
+# ---------------------------------------------------------------------------
+# presolve: free variables eliminated through equality rows
+
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def programs_with_equalities(draw):
+    """Programs whose first variable is free and whose first row is an
+    equality, so that the presolve has something to eliminate."""
+    n = draw(st.integers(1, 4))
+    nonneg = (False,) + tuple(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    rows = []
+    for k in range(draw(st.integers(1, 5))):
+        coeffs = tuple(draw(st.lists(small, min_size=n, max_size=n)))
+        rel = "=" if k == 0 else draw(st.sampled_from(["=", "<=", ">="]))
+        rows.append((coeffs, rel, F(draw(st.integers(-4, 4)), draw(st.integers(1, 2)))))
+    if draw(st.booleans()):  # a box makes optima common
+        for j in range(n):
+            unit = tuple(F(int(j == k)) for k in range(n))
+            rows.append((unit, "<=", F(draw(st.integers(1, 4)))))
+            if not nonneg[j]:
+                rows.append((unit, ">=", F(-draw(st.integers(1, 4)))))
+    sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
+    objective = None
+    if sense != lp.FEASIBILITY:
+        objective = tuple(draw(st.lists(small, min_size=n, max_size=n)))
+    return lp.LinearProgram.create(n, rows, objective=objective, sense=sense, nonneg=nonneg)
+
+
+def split_free_variables(prog):
+    """The same program with every free x_j written as x_j+ - x_j-, both
+    nonnegative (x_j- appended at the end): nothing is left to eliminate."""
+    free = [j for j, nn in enumerate(prog.nonneg) if not nn]
+
+    def widen(row):
+        return tuple(row) + tuple(-row[j] for j in free)
+
+    rows = [(widen(r), rel, b) for r, rel, b in zip(prog.rows, prog.relations, prog.rhs)]
+    objective = None if prog.objective is None else widen(prog.objective)
+    return lp.LinearProgram.create(prog.num_vars + len(free), rows, objective=objective,
+                                   sense=prog.sense, nonneg=True)
+
+
+@EXAMPLES
+@given(programs_with_equalities())
+def test_presolve_matches_the_split_program(prog):
+    out = lp.solve(prog)
+    split = split_free_variables(prog)
+    assert not lp._Elimination(split).pivots
+    reference = lp.solve(split)
+    assert type(out) is type(reference)
+    if isinstance(out, lp.Optimal):
+        assert out.value == reference.value
+
+
+@EXAMPLES
+@given(st.integers(1, 3), st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.integers(-3, 3), st.integers(1, 4), st.booleans())
+def test_presolve_infeasible_through_eliminated_rows(chain, weights, b, gap, ineq_first):
+    # x_1 - x_2 = 1, ..., x_k + c.y = b with x free and c, y >= 0 force
+    # x_1 <= (k - 1) + b, and the last row demands x_1 >= (k - 1) + b + gap
+    k, m = chain, len(weights)
+    n = k + m
+    rows = []
+    for i in range(k - 1):
+        rows.append((tuple(F(int(j == i) - int(j == i + 1)) for j in range(n)), "=", F(1)))
+    rows.append((tuple(F(int(j == k - 1)) for j in range(k)) + tuple(map(F, weights)), "=", F(b)))
+    cut = (tuple(F(int(j == 0)) for j in range(n)), ">=", F(k - 1 + b + gap))
+    rows = [cut] + rows if ineq_first else rows + [cut]
+    prog = lp.LinearProgram.create(n, rows, nonneg=(False,) * k + (True,) * m)
+    assert len(lp._Elimination(prog).pivots) == k
+    out = lp.solve(prog)
+    assert isinstance(out, lp.Infeasible) and lp.verify(prog, out)
+    assert all(y != 0 for y in out.farkas)  # every eliminated row carries weight
+
+
+def test_presolve_drops_redundant_and_refutes_inconsistent_rows():
+    rows = [((1, 1), "=", 1), ((2, 2), "=", 2), ((0, 1), "<=", 3)]
+    prog = lp.LinearProgram.create(2, rows, objective=(0, 1), nonneg=(False, True))
+    out = lp.solve(prog)
+    assert out == lp.Optimal((F(-2), F(3)), F(3)) and lp.verify(prog, out)
+    assert len(lp._Elimination(prog).reduced.rows) == 2  # the 0 = 0 row and the cap
+
+    bad = lp.LinearProgram.create(2, [((1, 1), "=", 1), ((2, 2), "=", 3)],
+                                  nonneg=(False, True))
+    out = lp.solve(bad)
+    assert isinstance(out, lp.Infeasible) and lp.verify(bad, out)
+    assert out.farkas[0] != 0 and out.farkas[1] != 0
+
+
+def test_presolve_unbounded_ray_through_eliminated_variable():
+    # x free, y >= 0: x - y = 0, maximize x
+    prog = lp.LinearProgram.create(2, [((1, -1), "=", 0)], objective=(1, 0),
+                                   nonneg=(False, True))
+    assert lp._Elimination(prog).pivots == [(0, 0)]
+    out = lp.solve(prog)
+    assert isinstance(out, lp.Unbounded) and lp.verify(prog, out)
+    assert out.ray[0] == out.ray[1] > 0
+
+
+def test_presolve_eliminates_every_variable():
+    square = [((1, 1), "=", 3), ((1, -1), "=", 1)]
+    prog = lp.LinearProgram.create(2, square, objective=(1, 0), nonneg=False)
+    assert lp._Elimination(prog).reduced.num_vars == 0
+    out = lp.solve(prog)
+    assert out == lp.Optimal((F(2), F(1)), F(2)) and lp.verify(prog, out)
+
+    capped = lp.LinearProgram.create(2, square + [((1, 0), ">=", 3)], nonneg=False)
+    out = lp.solve(capped)
+    assert isinstance(out, lp.Infeasible) and lp.verify(capped, out)
+
+    # a one-observable family: the marginal equalities pin every cell
+    theory = catalog.even_logic_cube()
+    M = catalog.random_observable(theory, 3, 5)
+    prog = compat.build_joint_lp([M])
+    assert lp._Elimination(prog).reduced.num_vars == 0
+    verdict = compat.check_compatible([M])
+    assert isinstance(verdict, compat.Compatible)
+    cells = [e.coeffs for e in verdict.witness.effects]
+    assert witness_marginals_ok(cells, [M], [F(1)], theory.extreme_points, theory.unit)
+
+
+@EXAMPLES
+@given(programs_with_equalities())
+def test_presolve_is_deterministic(prog):
+    first, second = lp.solve(prog), lp.solve(prog)
+    assert first == second
+    if isinstance(first, lp.Optimal):
+        assert first.duals == second.duals
