@@ -430,10 +430,13 @@ def theory_index_estimate(theory: TheorySpace, pairs: int, seed: int = 0,
 
     The bound is the minimum of the pair indices over a deterministic
     sample, hence nonincreasing as the sample grows (prefix property).
-    A sample budget of zero returns the vacuous bound 1.
+    A sample budget of zero returns the vacuous bound 1; a negative one
+    is refused.
     """
     from .catalog import random_observable
 
+    if pairs < 0:
+        raise InputError(f"the number of sampled pairs must be at least 0, got {pairs}")
     best = _ONE
     argmin = None
     argmin_index = None

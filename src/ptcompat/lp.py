@@ -55,13 +55,17 @@ exact (omitted rows simply carry zero multipliers).
 
 Presolve
 --------
-Free variables are eliminated through equality rows before the simplex
-runs.  The equality rows are taken in index order; each one pivots on its
-first free variable with a nonzero coefficient, and an exact
+Each row, right side last, and the objective are first written as
+integers over one positive denominator in lowest terms, which is the
+least common denominator of their entries.  This is the only encoding
+that the elimination, the lazy row scan and the simplex read: the
+simplex tableau starts from these integers.  Free variables are then
+eliminated through equality rows before the simplex runs.  The equality
+rows are taken in index order; each one pivots on its first free
+variable with a nonzero coefficient, and an exact, fraction-free
 Gauss-Jordan step substitutes that variable into every other row and
-into the objective.  The steps are fraction-free: each row is held as
-integers over one common denominator, in lowest terms, and turned back
-into the same Fractions at the end.  The remaining rows keep their order
+into the objective.  Every row a step changes is brought back to lowest
+terms with a positive denominator.  The remaining rows keep their order
 over the remaining variables.  An equality row left without a free
 variable stays as a row; all-zero rows are then dropped when they hold
 (``0 = 0``) and refute the program when they do not (``0 = b != 0``).
@@ -307,7 +311,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     elif len(kept) > _LAZY_MIN_ROWS:
         outcome = _solve_lazy(reduced, kept)
     else:
-        outcome = _finish(reduced, _Simplex(reduced, kept).run())
+        outcome = _Simplex(reduced, kept).run()
     outcome = elimination.restore(outcome)
     if not verify(lp, outcome):
         raise InternalError("solver produced an outcome that fails exact verification")
@@ -315,15 +319,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
 
 class _Program(NamedTuple):
-    """A program after elimination: LinearProgram's fields, unvalidated
-    (every variable may be gone)."""
+    """A program after elimination, unvalidated (every variable may be
+    gone).  Each row is ``(nums, den)``: integers over one positive
+    denominator in lowest terms, right side last.  The objective is held
+    the same way, without a right side."""
 
     num_vars: int
     nonneg: tuple[bool, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[list[int], int], ...]
     relations: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
-    objective: tuple[Fraction, ...] | None
+    objective: tuple[list[int], int] | None
     sense: str
 
 
@@ -334,15 +339,12 @@ class _Elimination:
     def __init__(self, lp):
         self.lp = lp
         self.pivots = []  # (row, variable) in elimination order
-        free = [j for j, nn in enumerate(lp.nonneg) if not nn]
-        equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
-        if not free or not equalities:
-            self.reduced = lp
-            return
         n = lp.num_vars
         # each row, right side last, as integers over one common denominator
         rows = [_integer_row((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
         objective = None if lp.objective is None else _integer_row((*lp.objective, _ZERO))
+        free = [j for j, nn in enumerate(lp.nonneg) if not nn]
+        equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
         # the combination of original rows that each equality row has become
         combos = {i: {i: _ONE} for i in equalities}
         for i in equalities:
@@ -378,13 +380,16 @@ class _Elimination:
             self.solved[i] = ([Fraction(a, nums[v]) if a else _ZERO for a in nums],
                               {l: t * den / nums[v] for l, t in combos[i].items()})
         kept = self.kept_vars
+        # the kept rows are zero on every eliminated variable, so dropping
+        # those columns keeps them in lowest terms; the objective also drops
+        # the constant that the substitutions left in its last place
         self.reduced = _Program(
             len(kept),
             tuple(lp.nonneg[j] for j in kept),
-            tuple(_exact(*rows[i], kept) for i in self.kept_rows),
+            tuple(([rows[i][0][j] for j in kept] + [rows[i][0][n]], rows[i][1])
+                  for i in self.kept_rows),
             tuple(lp.relations[i] for i in self.kept_rows),
-            tuple(Fraction(rows[i][0][n], rows[i][1]) for i in self.kept_rows),
-            None if objective is None else _exact(*objective, kept),
+            None if objective is None else _lowest([objective[0][j] for j in kept], objective[1]),
             lp.sense,
         )
 
@@ -444,8 +449,21 @@ class _Elimination:
 
 
 def _integer_row(values):
+    """Rationals as integers over their least common denominator, which
+    is the positive denominator that puts them in lowest terms."""
     den = lcm(*(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _lowest(nums, den):
+    """``nums/den`` in lowest terms, with a positive denominator."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [a // g for a in nums]
+        den //= g
+    return nums, den
 
 
 def _eliminate(nums, den, p, f, support):
@@ -457,25 +475,17 @@ def _eliminate(nums, den, p, f, support):
     out = [p * a for a in nums]
     for j, a in support:
         out[j] -= f * a
-    den *= p
-    g = gcd(den, *out)
-    if g > 1:
-        out = [a // g for a in out]
-        den //= g
-    return out, den
-
-
-def _exact(nums, den, columns):
-    return tuple(Fraction(nums[j], den) if nums[j] else _ZERO for j in columns)
+    return _lowest(out, den * p)
 
 
 def _presolve(lp):
     """Drop all-zero rows; detect trivially violated ones."""
     kept = []
-    for i, (row, rel, b) in enumerate(zip(lp.rows, lp.relations, lp.rhs)):
-        if any(row):
+    for i, ((nums, _den), rel) in enumerate(zip(lp.rows, lp.relations)):
+        if any(nums[:-1]):
             kept.append(i)
             continue
+        b = nums[-1]
         ok = (rel == "<=" and b >= 0) or (rel == ">=" and b <= 0) or (rel == "=" and b == 0)
         if ok:
             continue
@@ -483,26 +493,6 @@ def _presolve(lp):
         farkas[i] = _ONE if rel != "=" else (_ONE if b < 0 else -_ONE)
         return kept, Infeasible(tuple(farkas))
     return kept, None
-
-
-def _finish(lp, raw):
-    """Map a raw subset solve onto the full program's row indexing."""
-    status = raw["status"]
-    if status == "optimal":
-        value = _dot(lp.objective, raw["point"]) if lp.objective is not None else _ZERO
-        duals = None
-        if raw["duals"] is not None:
-            duals = [_ZERO] * len(lp.rows)
-            for i, y in raw["duals"].items():
-                duals[i] = y
-            duals = tuple(duals)
-        return Optimal(tuple(raw["point"]), value, duals)
-    if status == "infeasible":
-        farkas = [_ZERO] * len(lp.rows)
-        for i, y in raw["farkas"].items():
-            farkas[i] = y
-        return Infeasible(tuple(farkas))
-    return Unbounded(tuple(raw["ray"]))
 
 
 # ---------------------------------------------------------------------------
@@ -520,68 +510,47 @@ def _solve_lazy(lp, kept):
         working.update(ineq_rows[::step][:_LAZY_INITIAL])
 
     for _ in range(len(kept) + 2):
-        raw = _Simplex(lp, sorted(working)).run()
-        if raw["status"] == "infeasible":
-            return _finish(lp, raw)
-        if raw["status"] == "optimal":
-            violated = scan.violated_by_point(raw["point"], working)
-            if not violated:
-                return _finish(lp, raw)
-            working.update(violated)
-            continue
-        # unbounded direction: clip it with rows it escapes through, or
-        # accept it once a fully feasible point confirms unboundedness
-        violated = scan.violated_by_ray(raw["ray"], working)
-        if violated:
-            working.update(violated)
-            continue
-        feas = raw["feasible_point"]
-        violated = scan.violated_by_point(feas, working)
+        simplex = _Simplex(lp, sorted(working))
+        outcome = simplex.run()
+        if isinstance(outcome, Infeasible):
+            return outcome
+        if isinstance(outcome, Unbounded):
+            # clip the ray with rows it escapes through, or accept it once a
+            # fully feasible point confirms unboundedness
+            violated = scan.violated((*outcome.ray, 0), working)
+            if violated:
+                working.update(violated)
+                continue
+        violated = scan.violated((*simplex.point, -1), working)
         if not violated:
-            return _finish(lp, raw)
+            return outcome
         working.update(violated)
     raise InternalError("lazy row generation failed to converge")
 
 
 class _ScanCache:
-    """Integer-scaled sparse rows for fast exact violation scans."""
+    """Sparse integer rows for fast exact violation scans."""
 
     def __init__(self, lp, row_indices):
-        self.lp = lp
         self.entries = []
         for i in row_indices:
-            row = lp.rows[i]
-            scale = lcm(lp.rhs[i].denominator, *(c.denominator for c in row if c)) if any(row) else 1
-            sparse = [(j, int(c * scale)) for j, c in enumerate(row) if c]
-            self.entries.append((i, lp.relations[i], sparse, int(lp.rhs[i] * scale), scale))
+            nums, den = lp.rows[i]
+            sparse = [(j, a) for j, a in enumerate(nums) if a]
+            self.entries.append((i, lp.relations[i], sparse, den))
 
-    def violated_by_point(self, point, working):
-        den = lcm(*(x.denominator for x in point)) if point else 1
-        nums = [int(x * den) for x in point]
+    def violated(self, vec, working):
+        """The rows outside ``working`` that ``vec`` violates, most violated
+        first, at most ``_LAZY_BATCH`` of them.  ``vec`` is a point followed
+        by -1, or a ray followed by 0, so that a row's integers, right side
+        last, give its gap ``a.x - b`` (for a ray, the drift ``a.d``)."""
+        nums, den = _integer_row(vec)
         found = []
-        for i, rel, sparse, b_int, scale in self.entries:
+        for i, rel, sparse, row_den in self.entries:
             if i in working:
                 continue
-            lhs = sum(c * nums[j] for j, c in sparse)
-            gap = lhs - b_int * den
+            gap = sum(a * nums[j] for j, a in sparse)
             if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0):
-                found.append((Fraction(abs(gap), scale * den), i))
-        return self._select(found)
-
-    def violated_by_ray(self, ray, working):
-        den = lcm(*(x.denominator for x in ray)) if ray else 1
-        nums = [int(x * den) for x in ray]
-        found = []
-        for i, rel, sparse, _b, scale in self.entries:
-            if i in working:
-                continue
-            drift = sum(c * nums[j] for j, c in sparse)
-            if (rel == "<=" and drift > 0) or (rel == ">=" and drift < 0):
-                found.append((Fraction(abs(drift), scale * den), i))
-        return self._select(found)
-
-    @staticmethod
-    def _select(found):
+                found.append((Fraction(abs(gap), row_den * den), i))
         found.sort(key=lambda t: (-t[0], t[1]))
         return [i for _, i in found[:_LAZY_BATCH]]
 
@@ -626,10 +595,9 @@ class _Simplex:
         slack_signs = []
 
         for k, i in enumerate(self.row_indices):
-            coeffs = lp.rows[i]
+            nums, den = lp.rows[i]
             rel = lp.relations[i]
-            b = lp.rhs[i]
-            ell = lcm(b.denominator, *(c.denominator for c in coeffs if c)) if any(coeffs) else b.denominator
+            b = nums[-1]
             if rel == "<=":
                 flip = 1 if b >= 0 else -1
                 slack_sign = flip
@@ -639,19 +607,9 @@ class _Simplex:
             else:
                 flip = 1 if b >= 0 else -1
                 slack_sign = 0
-            g = flip * ell
-            self.scale[k] = g
-            row = [0] * self.n_struct
-            for j, c in enumerate(coeffs):
-                if not c:
-                    continue
-                val = int(c * g)
-                cols = self.var_cols[j]
-                row[cols[0]] = val
-                if len(cols) == 2:
-                    row[cols[1]] = -val
-            rows_int.append(row)
-            rhs_int.append(int(b * g))
+            self.scale[k] = flip * den
+            rows_int.append(self._structural(nums, flip))
+            rhs_int.append(flip * b)
             slack_signs.append(slack_sign)
             basis.append(None)
 
@@ -684,22 +642,15 @@ class _Simplex:
         self.art_rows = art_rows
 
         # phase-2 reduced costs (internal minimization)
-        obj2 = [0] * (ncols + 1)
         if lp.objective is not None:
-            ell_o = lcm(*(c.denominator for c in lp.objective if c)) if any(lp.objective) else 1
+            nums, den = lp.objective
             sgn = -1 if lp.sense == MAX else 1
-            self.obj_scale = sgn * ell_o
-            for j, c in enumerate(lp.objective):
-                if not c:
-                    continue
-                val = int(c * ell_o) * sgn
-                cols = self.var_cols[j]
-                obj2[cols[0]] = val
-                if len(cols) == 2:
-                    obj2[cols[1]] = -val
+            self.obj_scale = sgn * den
+            obj2 = self._structural(nums, sgn)
         else:
             self.obj_scale = 1
-        self.obj2 = obj2
+            obj2 = [0] * self.n_struct
+        self.obj2 = obj2 + [0] * (ncols + 1 - self.n_struct)
 
         # phase-1 reduced costs for the starting basis
         obj1 = [0] * (ncols + 1)
@@ -710,6 +661,17 @@ class _Simplex:
                     obj1[j] -= row[j]
             obj1[self.art_col[k]] += 1
         self.obj1 = obj1 if art_rows else None
+
+    def _structural(self, nums, sign):
+        """``sign`` times a row's integers on the structural columns (the
+        right side, if any, is left out)."""
+        row = [0] * self.n_struct
+        for cols, a in zip(self.var_cols, nums):
+            if a:
+                row[cols[0]] = sign * a
+                if len(cols) == 2:
+                    row[cols[1]] = -sign * a
+        return row
 
     # -- pivoting ---------------------------------------------------------
 
@@ -768,7 +730,10 @@ class _Simplex:
 
     # -- phases -----------------------------------------------------------
 
-    def run(self):
+    def run(self) -> LpOutcome:
+        """The outcome over all of the program's rows, those outside the
+        working set carrying zero multipliers.  An unbounded outcome leaves
+        its feasible point in ``self.point``, as an optimal one does."""
         if self.obj1 is not None:
             state = None
             for _ in range(_MAX_PIVOTS):
@@ -780,24 +745,20 @@ class _Simplex:
             else:
                 raise InternalError("pivot limit exceeded")
             if self.obj1[-1] < 0:  # minimum of artificial sum is positive
-                return {"status": "infeasible", "farkas": self._extract_farkas()}
+                return Infeasible(self._extract_farkas())
             self._evict_artificials()
             self.obj1 = None
 
         for _ in range(_MAX_PIVOTS):
             state, col = self._bland_step(self.obj2, self.n_enter_phase2)
+            if state == "pivoted":
+                continue
+            self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
             if state == "optimal":
-                return {
-                    "status": "optimal",
-                    "point": self._extract_point(),
-                    "duals": self._extract_duals(),
-                }
-            if state == "unbounded":
-                return {
-                    "status": "unbounded",
-                    "ray": self._extract_ray(col),
-                    "feasible_point": self._extract_point(),
-                }
+                return Optimal(self.point, self._value(), self._extract_duals())
+            ray = {c: -row[col] for c, row in zip(self.basis, self.rows)}
+            ray[col] = self.delta
+            return Unbounded(self._variables(ray))
         raise InternalError("pivot limit exceeded")
 
     def _evict_artificials(self):
@@ -825,61 +786,46 @@ class _Simplex:
 
     # -- extraction -------------------------------------------------------
 
-    def _column_values(self):
-        vals = {}
-        for i, col in enumerate(self.basis):
-            num = self.rows[i][-1]
-            if num:
-                vals[col] = Fraction(num, self.delta)
-        return vals
-
-    def _extract_point(self):
-        vals = self._column_values()
-        point = []
+    def _variables(self, columns):
+        """Variable values from integer column values over ``self.delta``;
+        a free variable is its + column minus its - column."""
+        values = []
         for cols in self.var_cols:
-            x = vals.get(cols[0], _ZERO)
+            x = columns.get(cols[0], 0)
             if len(cols) == 2:
-                x -= vals.get(cols[1], _ZERO)
-            point.append(x)
-        return point
+                x -= columns.get(cols[1], 0)
+            values.append(Fraction(x, self.delta))
+        return tuple(values)
 
-    def _extract_ray(self, enter):
-        direction = {enter: _ONE}
-        for i, row in enumerate(self.rows):
-            a = row[enter]
-            if a:
-                direction[self.basis[i]] = Fraction(-a, self.delta)
-        ray = []
-        for cols in self.var_cols:
-            d = direction.get(cols[0], _ZERO)
-            if len(cols) == 2:
-                d -= direction.get(cols[1], _ZERO)
-            ray.append(d)
-        return ray
+    def _value(self):
+        if self.lp.objective is None:
+            return _ZERO
+        nums, den = self.lp.objective
+        return _dot(nums, self.point) / den
 
     def _unit_column(self, k):
         """Column that started as e_k: the artificial if present, else the slack."""
         return self.art_col[k] if self.art_col[k] >= 0 else self.slack_col[k]
 
     def _extract_farkas(self):
-        farkas = {}
+        farkas = [_ZERO] * len(self.lp.rows)
         for k, i in enumerate(self.row_indices):
             col = self._unit_column(k)
             red = Fraction(self.obj1[col], self.delta)
             w = (1 - red) if self.art_col[k] >= 0 else -red
             raw = -w * self.scale[k]
             farkas[i] = -raw if self.lp.relations[i] == ">=" else raw
-        return farkas
+        return tuple(farkas)
 
     def _extract_duals(self):
         if self.lp.objective is None:
             return None
-        duals = {}
+        duals = [_ZERO] * len(self.lp.rows)
         for k, i in enumerate(self.row_indices):
             col = self._unit_column(k)
             w = -Fraction(self.obj2[col], self.delta)
             duals[i] = w * self.scale[k] / self.obj_scale
-        return duals
+        return tuple(duals)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,38 @@ def test_malformed_json_exits_2(tmp_path):
     assert "line" in res.output or "line" in (res.stderr or "")
 
 
+def test_theory_dim_must_be_a_json_integer(tmp_path):
+    theory = catalog.square_gbit()
+    obs = catalog.square_gbit_observables(theory)
+    a = write_observable(tmp_path / "a.json", obs["D1"])
+    b = write_observable(tmp_path / "b.json", obs["D2"])
+    tfile = tmp_path / "theory.json"
+    for dim in ("abc", 1.5, True, "3"):
+        doc = serialize.theory_to_doc(theory)
+        doc["dim"] = dim
+        tfile.write_text(json.dumps(doc))
+        res = invoke("check", "--theory", str(tfile), a, b)
+        assert res.exit_code == 2, dim
+        assert "theory dim must be an integer" in res.output
+
+
+def test_observable_outcomes_must_be_a_list(tmp_path):
+    obs = catalog.square_gbit_observables(catalog.square_gbit())
+    doc = serialize.observable_to_doc(obs["D1"])
+    doc["outcomes"] = "ab"
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(doc))
+    res = invoke("check", str(a), "D2@gbit-square")
+    assert res.exit_code == 2
+    assert "observable outcomes must be a list" in res.output
+
+
+def test_estimate_negative_samples_exits_2():
+    res = invoke("estimate-index", "gbit-square", "--samples", "-3")
+    assert res.exit_code == 2
+    assert "at least 0" in res.output
+
+
 def test_region_reaches_dominate_disk_values(tmp_path):
     # small ball approximation so the CLI-level comparison stays quick
     out = tmp_path / "region.csv"

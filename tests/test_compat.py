@@ -494,9 +494,30 @@ def test_estimate_zero_budget_is_vacuous():
     assert result.argmin_pair is None
 
 
+def test_estimate_negative_budget_is_refused():
+    with pytest.raises(InputError):
+        compat.theory_index_estimate(catalog.even_logic_cube(), -1, seed=0)
+
+
 def test_estimate_prefix_monotonicity():
     t = catalog.square_gbit()
     long = compat.theory_index_estimate(t, 8, seed=1)
     short = compat.theory_index_estimate(t, 4, seed=1)
     assert long.values[:4] == short.values
     assert long.upper_bound <= short.upper_bound
+
+
+@pytest.mark.parametrize("name", ["gbit-square", "even-logic-cube", "bloch-octahedron", "bloch:8"])
+def test_plavala_non_simplex_theory_has_an_incompatible_pair(name):
+    # Plavala, PRA 94, 042108 (2016): all measurements of a theory are
+    # compatible only if its state space is a simplex; none of these is one
+    theory = catalog.get_theory(name)
+    for i in range(10):
+        pair = [catalog.random_observable(theory, 2, compat.pair_seed(0, i, half))
+                for half in (0, 1)]
+        verdict = compat.check_compatible(pair)
+        if isinstance(verdict, compat.Incompatible):
+            break
+    else:
+        pytest.fail(f"no incompatible pair among 10 sampled on {name}")
+    assert lp.verify(compat.build_joint_lp(pair), verdict.certificate)

@@ -259,9 +259,9 @@ def test_lazy_path_matches_direct_value():
     assert isinstance(out, lp.Optimal)
     assert lp.verify(prog, out)
 
-    direct = lp._Simplex(prog, list(range(len(prog.rows)))).run()
-    assert direct["status"] == "optimal"
-    direct_value = sum(c * x for c, x in zip(objective, direct["point"]))
+    direct = lp._Simplex(lp._Elimination(prog).reduced, list(range(len(prog.rows)))).run()
+    assert isinstance(direct, lp.Optimal)
+    direct_value = sum(c * x for c, x in zip(objective, direct.point))
     assert direct_value == out.value
 
 
@@ -427,3 +427,73 @@ def test_presolve_is_deterministic(prog):
     assert first == second
     if isinstance(first, lp.Optimal):
         assert first.duals == second.duals
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: each rewrites a program into an equivalent one, so
+# the status and the optimal value must not move
+
+
+def _rebuild(prog, rows, columns=None):
+    """``prog`` with the (coeffs, relation, rhs) ``rows``; ``columns``
+    reorders the variables (row entries, bounds and objective alike)."""
+    columns = range(prog.num_vars) if columns is None else columns
+
+    def pick(values):
+        return tuple(values[j] for j in columns)
+
+    objective = None if prog.objective is None else pick(prog.objective)
+    return lp.LinearProgram.create(prog.num_vars, [(pick(a), rel, b) for a, rel, b in rows],
+                                   objective=objective, sense=prog.sense,
+                                   nonneg=pick(prog.nonneg))
+
+
+def _rows(prog):
+    return list(zip(prog.rows, prog.relations, prog.rhs))
+
+
+def permute_rows(prog, data):
+    rows = _rows(prog)
+    return _rebuild(prog, data.draw(st.permutations(rows)))
+
+
+def scale_row(prog, data):
+    rows = _rows(prog)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    factor = data.draw(st.builds(F, st.integers(1, 6), st.integers(1, 6)))
+    a, rel, b = rows[i]
+    rows[i] = (tuple(factor * c for c in a), rel, factor * b)
+    return _rebuild(prog, rows)
+
+
+def negate_equality_row(prog, data):
+    rows = _rows(prog)
+    i = data.draw(st.sampled_from([k for k, (_, rel, _) in enumerate(rows) if rel == "="]))
+    a, rel, b = rows[i]
+    rows[i] = (tuple(-c for c in a), rel, -b)
+    return _rebuild(prog, rows)
+
+
+def duplicate_row(prog, data):
+    rows = _rows(prog)
+    copy = rows[data.draw(st.integers(0, len(rows) - 1))]
+    rows.insert(data.draw(st.integers(0, len(rows))), copy)
+    return _rebuild(prog, rows)
+
+
+def permute_variables(prog, data):
+    columns = data.draw(st.permutations(range(prog.num_vars)))
+    return _rebuild(prog, _rows(prog), columns)
+
+
+@pytest.mark.parametrize("transform", [permute_rows, scale_row, negate_equality_row,
+                                       duplicate_row, permute_variables])
+@EXAMPLES
+@given(programs_with_equalities(), st.data())
+def test_equivalent_programs_keep_status_and_value(transform, prog, data):
+    changed = transform(prog, data)
+    out, moved = lp.solve(prog), lp.solve(changed)
+    assert type(out) is type(moved)
+    assert lp.verify(changed, moved)
+    if isinstance(out, lp.Optimal):
+        assert out.value == moved.value
