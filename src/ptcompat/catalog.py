@@ -270,6 +270,10 @@ def random_observable(theory: TheorySpace, outcomes: int, seed: int) -> Observab
     labels = tuple(str(j) for j in range(outcomes))
     if outcomes == 1:
         return Observable(theory, labels, (Effect(theory, theory.unit),))
+    if len(theory.extreme_points) < 2:
+        # no functional can take two values on a single state
+        raise InputError(f"theory {theory.name!r} has a single state, so it has no "
+                         f"boundary-touching observable with {outcomes} outcomes")
     rng = random.Random(seed)
     if outcomes == 2:
         f = _boundary_touching(theory, rng)

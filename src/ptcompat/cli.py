@@ -84,9 +84,9 @@ def _load_observables(config: RunConfig):
         if path.exists():
             _refuse_shadowing(arg, "observable", lambda: _builtin(arg, base_theory))
             doc = _read_json(path)
-            if not isinstance(doc, dict) or "theory" not in doc:
-                raise InputError(f"{path}: observable documents need a 'theory' field")
-            doc_theory = theory if theory is not None else catalog.get_theory(str(doc["theory"]))
+            if not isinstance(doc, dict) or not isinstance(doc.get("theory"), str):
+                raise InputError(f"{path}: observable documents need a 'theory' string")
+            doc_theory = theory if theory is not None else catalog.get_theory(doc["theory"])
             m = serialize.observable_from_doc(doc, doc_theory)
         else:
             m = _builtin(arg, base_theory)
@@ -245,19 +245,27 @@ def _run_qubit_disk(config):
 def _deliver(config: RunConfig) -> None:
     try:
         text, dump = execute(config)
+        if config.dump_lp and dump is not None:
+            _write(config.dump_lp, dump)
+        if config.out:
+            _write(config.out, text)
     except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except InternalError as exc:
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(1)
-    if config.dump_lp and dump is not None:
-        Path(config.dump_lp).write_text(dump)
     if config.out:
-        Path(config.out).write_text(text)
         click.echo(f"wrote {config.out}", err=True)
     else:
         click.echo(text, nl=False)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 @click.group()

@@ -206,8 +206,8 @@ def _family_program(grid, axes) -> lp.LinearProgram:
     Rows, in order: the marginal equalities
     ``cells - t_kj*unit - b_k*s*M_kj = a_k*M_kj`` per (axis, outcome,
     coordinate); the noise total ``sum_j t_kj + b_k*s = 1 - a_k`` per axis
-    that is not sharp; ``b_k*s <= 1`` per axis with b_k != 0; and
-    ``cell . x >= 0`` per extreme point x and cell.
+    that is not sharp; and ``cell . x >= 0`` per extreme point x and cell.
+    No row states ``b_k*s <= 1``: the noise total with t >= 0 implies it.
     """
     noise, scale, n = grid.layout(axes)
     unit = grid.theory.unit
@@ -231,13 +231,6 @@ def _family_program(grid, axes) -> lp.LinearProgram:
             if b:
                 coeffs[scale] = b
             rows.append((coeffs, "=", 1 - a))
-    # implied by the noise totals, but kept: lazy solves seed their working
-    # set with a stride over the inequality rows, so these rows steer pivots
-    for _, b in axes:
-        if b:
-            coeffs = [_ZERO] * n
-            coeffs[scale] = b
-            rows.append((coeffs, "<=", _ONE))
     for point in grid.theory.extreme_points:
         for cell in grid.cells:
             coeffs = [_ZERO] * n
@@ -378,7 +371,8 @@ def region_membership(observables, lambdas) -> CompatVerdict:
 
 def build_scan_lp(observables, direction) -> lp.LinearProgram:
     """Program behind one boundary-scan direction: maximize the scaling
-    of the direction subject to membership, clipped to [0, 1]^n."""
+    of the direction subject to membership.  The noise totals keep the
+    scaled point inside [0, 1]^n, so no clipping rows are needed."""
     grid = _Grid(observables)
     return _family_program(grid, _scan_axes(grid, direction))
 
@@ -387,7 +381,7 @@ def region_boundary_scan(observables, directions) -> list[RegionSample]:
     """Maximal scaling of each direction that stays inside the region.
 
     Convexity of the region and feasibility of the origin justify the
-    ray scan; the scaled point is clipped to [0, 1]^n.  Directions are
+    ray scan; the scaled point stays in [0, 1]^n.  Directions are
     processed independently, so results do not depend on evaluation
     order.
     """

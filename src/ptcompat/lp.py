@@ -49,26 +49,31 @@ smallest-index tie breaking, so repeated solves are bit-identical.
 Internally the tableau is held as integers over one common positive
 denominator (integer-preserving pivoting); this is only a faster
 encoding of the same rationals and the interface stays Fraction end to
-end.  Programs with many inequality rows are solved by deterministic
-lazy row generation: certificates returned for the full program remain
-exact (omitted rows simply carry zero multipliers).
+end.  Every program is solved by row generation: the simplex first runs
+on the equality rows alone, and each round adds the inequality rows that
+its point (or ray) violates most, ties broken by row index, until no row
+is violated.  So the rows taken in do not depend on where the inequality
+rows sit, and certificates returned for the full program remain exact
+(rows never taken in carry zero multipliers).
 
 Presolve
 --------
 Each row, right side last, and the objective are first written as
 integers over one positive denominator in lowest terms, which is the
 least common denominator of their entries.  This is the only encoding
-that the elimination, the lazy row scan and the simplex read: the
-simplex tableau starts from these integers.  Free variables are then
-eliminated through equality rows before the simplex runs.  The equality
-rows are taken in index order; each one pivots on its first free
-variable with a nonzero coefficient, and an exact, fraction-free
-Gauss-Jordan step substitutes that variable into every other row and
-into the objective.  Every row a step changes is brought back to lowest
-terms with a positive denominator.  The remaining rows keep their order
-over the remaining variables.  An equality row left without a free
-variable stays as a row; all-zero rows are then dropped when they hold
-(``0 = 0``) and refute the program when they do not (``0 = b != 0``).
+that the elimination, the row scan and the simplex read: the simplex
+tableau starts from these integers.  Free variables are then eliminated
+through equality rows before the simplex runs.  The equality rows are
+taken in index order; each one pivots on its first free variable with a
+nonzero coefficient, and an exact, fraction-free Gauss-Jordan step
+substitutes that variable into every other row and into the objective.
+Every row a step changes is brought back to lowest terms with a positive
+denominator.  The remaining rows keep their order over the remaining
+variables.  An equality row left without a free variable stays as a
+row.  All-zero rows need no special case: phase 1 drops a ``0 = 0`` row
+and refutes ``0 = b != 0``, and an all-zero inequality row that holds is
+never violated, so it is never taken in.
+
 Results are mapped back onto the original program:
 
 * points and rays by substitution into the eliminated rows;
@@ -101,10 +106,8 @@ MAX = "max"
 MIN = "min"
 FEASIBILITY = "feasibility"
 
-# Row counts above which solve() switches to lazy row generation, and the
-# batch sizes used there.  Tuning knobs only; results do not depend on them.
-_LAZY_MIN_ROWS = 192
-_LAZY_INITIAL = 48
+# Rows added per round of row generation.  A tuning knob only; results
+# do not depend on it.
 _LAZY_BATCH = 24
 _MAX_PIVOTS = 5_000_000
 
@@ -304,15 +307,7 @@ def _dot(row, vec):
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; the returned outcome always passes :func:`verify`."""
     elimination = _Elimination(lp)
-    reduced = elimination.reduced
-    kept, early = _presolve(reduced)
-    if early is not None:
-        outcome = early
-    elif len(kept) > _LAZY_MIN_ROWS:
-        outcome = _solve_lazy(reduced, kept)
-    else:
-        outcome = _Simplex(reduced, kept).run()
-    outcome = elimination.restore(outcome)
+    outcome = elimination.restore(_generate_rows(elimination.reduced))
     if not verify(lp, outcome):
         raise InternalError("solver produced an outcome that fails exact verification")
     return outcome
@@ -478,38 +473,18 @@ def _eliminate(nums, den, p, f, support):
     return _lowest(out, den * p)
 
 
-def _presolve(lp):
-    """Drop all-zero rows; detect trivially violated ones."""
-    kept = []
-    for i, ((nums, _den), rel) in enumerate(zip(lp.rows, lp.relations)):
-        if any(nums[:-1]):
-            kept.append(i)
-            continue
-        b = nums[-1]
-        ok = (rel == "<=" and b >= 0) or (rel == ">=" and b <= 0) or (rel == "=" and b == 0)
-        if ok:
-            continue
-        farkas = [_ZERO] * len(lp.rows)
-        farkas[i] = _ONE if rel != "=" else (_ONE if b < 0 else -_ONE)
-        return kept, Infeasible(tuple(farkas))
-    return kept, None
-
-
 # ---------------------------------------------------------------------------
-# lazy row generation
+# row generation
 
 
-def _solve_lazy(lp, kept):
-    eq_rows = [i for i in kept if lp.relations[i] == "="]
-    ineq_rows = [i for i in kept if lp.relations[i] != "="]
+def _generate_rows(lp):
+    """Run the simplex on a working set of rows that starts as the
+    equality rows and grows by the inequality rows that the current point
+    or ray violates most, until no row outside it is violated."""
+    ineq_rows = [i for i, rel in enumerate(lp.relations) if rel != "="]
     scan = _ScanCache(lp, ineq_rows)
-
-    working = set(eq_rows)
-    if ineq_rows:
-        step = max(1, len(ineq_rows) // _LAZY_INITIAL)
-        working.update(ineq_rows[::step][:_LAZY_INITIAL])
-
-    for _ in range(len(kept) + 2):
+    working = {i for i, rel in enumerate(lp.relations) if rel == "="}
+    for _ in range(len(ineq_rows) + 1):
         simplex = _Simplex(lp, sorted(working))
         outcome = simplex.run()
         if isinstance(outcome, Infeasible):
@@ -525,7 +500,7 @@ def _solve_lazy(lp, kept):
         if not violated:
             return outcome
         working.update(violated)
-    raise InternalError("lazy row generation failed to converge")
+    raise InternalError("row generation failed to converge")
 
 
 class _ScanCache:

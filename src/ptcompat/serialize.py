@@ -63,13 +63,19 @@ def theory_to_doc(theory: TheorySpace) -> dict:
     }
 
 
+def _string(value, what):
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
 def theory_from_doc(doc) -> TheorySpace:
     try:
         dim = doc["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise InputError(f"theory dim must be an integer, got {dim!r}")
         return TheorySpace(
-            str(doc["name"]),
+            _string(doc["name"], "theory name"),
             dim,
             tuple(_vector_from_json(x) for x in doc["extreme_points"]),
             _vector_from_json(doc["unit"]),
@@ -88,11 +94,11 @@ def observable_to_doc(observable: Observable) -> dict:
 
 def observable_from_doc(doc, theory: TheorySpace) -> Observable:
     try:
-        name = str(doc["theory"])
+        name = _string(doc["theory"], "observable theory")
         outcomes = doc["outcomes"]
         if not isinstance(outcomes, list):
             raise InputError(f"observable outcomes must be a list of labels, got {outcomes!r}")
-        outcomes = tuple(str(s) for s in outcomes)
+        outcomes = tuple(_string(s, "outcome label") for s in outcomes)
         effects = tuple(Effect(theory, _vector_from_json(e)) for e in doc["effects"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed observable document: {exc}") from exc

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import ptcompat
 from ptcompat import catalog, model, serialize
 from ptcompat.cli import RunConfig, execute, main
 
@@ -178,6 +183,70 @@ def test_estimate_negative_samples_exits_2():
     res = invoke("estimate-index", "gbit-square", "--samples", "-3")
     assert res.exit_code == 2
     assert "at least 0" in res.output
+
+
+def test_estimate_on_a_one_state_theory_exits_2():
+    # run in a child with a timeout, so that a hang fails instead of stalling
+    env = dict(os.environ, PYTHONPATH=str(Path(ptcompat.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ptcompat.cli", "estimate-index",
+                           "classical:1", "--samples", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "'classical:1'" in done.stderr
+
+    res = invoke("estimate-index", "classical:1", "--samples", "0")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["upper_bound"] == 1
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    res = invoke("check", "--theory", "gbit-square", "X", "Y", "--out", str(target))
+    assert res.exit_code == 2
+    assert f"error: cannot write {target}" in res.output
+
+
+def test_unwritable_dump_lp_exits_2(tmp_path):
+    target = tmp_path / "missing" / "program.lp"
+    res = invoke("index", "--theory", "gbit-square", "X", "Y", "--dump-lp", str(target))
+    assert res.exit_code == 2
+    assert f"error: cannot write {target}" in res.output
+
+
+def test_outcome_labels_must_be_strings(tmp_path):
+    obs = catalog.square_gbit_observables(catalog.square_gbit())
+    doc = serialize.observable_to_doc(obs["D1"])
+    doc["outcomes"] = [1, {"a": 2}]
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(doc))
+    res = invoke("check", str(a), "D2@gbit-square")
+    assert res.exit_code == 2
+    assert "outcome label must be a JSON string" in res.output
+
+
+def test_theory_names_must_be_strings(tmp_path):
+    # a theory file named "5" and an observable naming it by the number 5
+    theory = model.TheorySpace.make("5", 2, [[1, 0], [0, 1]], [1, 1])
+    tfile = tmp_path / "theory.json"
+    tfile.write_text(serialize.dumps(serialize.theory_to_doc(theory)))
+    obs = catalog.random_observable(theory, 2, 1)
+    doc = serialize.observable_to_doc(obs)
+    a = write_observable(tmp_path / "a.json", obs)
+    doc["theory"] = 5
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(doc))
+    res = invoke("check", "--theory", str(tfile), a, a)
+    assert res.exit_code == 0
+    res = invoke("check", "--theory", str(tfile), a, str(b))
+    assert res.exit_code == 2
+    assert "observable documents need a 'theory' string" in res.output
+
+    tdoc = serialize.theory_to_doc(theory)
+    tdoc["name"] = 5
+    tfile.write_text(json.dumps(tdoc))
+    res = invoke("check", "--theory", str(tfile), a, a)
+    assert res.exit_code == 2
+    assert "theory name must be a JSON string" in res.output
 
 
 def test_region_reaches_dominate_disk_values(tmp_path):

@@ -196,7 +196,7 @@ def test_every_question_is_the_solve_of_its_public_program(pair, point, w1):
 
 
 def test_index_and_scan_program_layouts_are_pinned():
-    # the row order steers the lazy solver's pivots, so it must not drift
+    # certificates index these rows and columns, so the layout must not drift
     square = catalog.square_gbit_observables(catalog.square_gbit())
     text = lp.lp_to_text(compat.build_index_lp(square["X"], square["D1"]))
     assert text == (DATA / "index_gbit_square_X_D1.lp").read_text()
@@ -521,3 +521,35 @@ def test_plavala_non_simplex_theory_has_an_incompatible_pair(name):
     else:
         pytest.fail(f"no incompatible pair among 10 sampled on {name}")
     assert lp.verify(compat.build_joint_lp(pair), verdict.certificate)
+
+
+def _with_sharpness_caps(prog, caps):
+    """``prog`` with one ``b*s <= 1`` row appended per ``b`` in ``caps``;
+    ``s`` is the last variable, the one the program maximizes."""
+    n = prog.num_vars
+    assert prog.objective == (F(0),) * (n - 1) + (F(1),)
+    rows = list(zip(prog.rows, prog.relations, prog.rhs))
+    rows += [((F(0),) * (n - 1) + (b,), "<=", F(1)) for b in caps]
+    return lp.LinearProgram.create(n, rows, objective=prog.objective, sense=prog.sense,
+                                   nonneg=prog.nonneg)
+
+
+@pytest.mark.parametrize("name", ["gbit-square", "even-logic-cube", "bloch-octahedron", "bloch:8"])
+def test_sharpness_caps_are_implied(name):
+    # the family program states no b_k*s <= 1 row: the noise totals with
+    # nonnegative noise imply it, so adding the rows leaves every optimum
+    theory = catalog.get_theory(name)
+    directions = [(F(1), F(0)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))]
+    for i in range(10):
+        pair = [catalog.random_observable(theory, 2, compat.pair_seed(0, i, half))
+                for half in (0, 1)]
+        programs = [(compat.build_index_lp(*pair), [F(1)])]
+        programs += [(compat.build_scan_lp(pair, w), [c for c in w if c]) for w in directions]
+        for prog, caps in programs:
+            out = lp.solve(prog)
+            capped = lp.solve(_with_sharpness_caps(prog, caps))
+            assert isinstance(out, lp.Optimal) and isinstance(capped, lp.Optimal)
+            assert out.value == capped.value, (name, i, caps)
+        assert compat.compat_index(*pair).lambda_star <= 1
+        for sample in compat.region_boundary_scan(pair, directions):
+            assert all(c <= 1 for c in sample.boundary)

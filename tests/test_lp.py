@@ -242,7 +242,7 @@ def test_determinism_bit_identical():
 
 
 def test_lazy_path_matches_direct_value():
-    # many redundant cap rows force the lazy row-generation path; the
+    # many redundant cap rows, of which row generation takes in a few; the
     # instance is feasible by construction (the all-ones point works)
     rng = random.Random(99)
     n = 6

@@ -50,6 +50,18 @@ def test_observable_theory_name_mismatch():
         serialize.observable_from_doc(doc, catalog.square_gbit())
 
 
+def test_labels_and_names_must_be_json_strings():
+    t = catalog.even_logic_cube()
+    doc = serialize.observable_to_doc(catalog.random_observable(t, 2, 5))
+    for field, value in (("theory", 5), ("outcomes", [0, 1]), ("outcomes", ["0", None])):
+        bad = dict(doc, **{field: value})
+        with pytest.raises(InputError, match="must be a JSON string"):
+            serialize.observable_from_doc(bad, t)
+    tdoc = dict(serialize.theory_to_doc(t), name=["even-logic-cube"])
+    with pytest.raises(InputError, match="theory name must be a JSON string"):
+        serialize.theory_from_doc(tdoc)
+
+
 def test_verdict_docs():
     t = catalog.even_logic_cube()
     obs = catalog.even_logic_observables(t)
