@@ -25,10 +25,8 @@ from .errors import InputError
 from .model import (
     Effect,
     Observable,
-    State,
     TheorySpace,
     dot,
-    validate_state,
     vec,
 )
 
@@ -90,23 +88,6 @@ class LogicState:
     def make(cls, values) -> "LogicState":
         return cls(tuple(vec(values)))
 
-    @property
-    def sixtuple(self) -> tuple[Fraction, ...]:
-        out = []
-        for l in self.lambdas:
-            out.extend((l, 1 - l))
-        return tuple(out)
-
-    @classmethod
-    def from_sixtuple(cls, values) -> "LogicState":
-        v = vec(values)
-        if len(v) != 6:
-            raise InputError("need six entries")
-        for i in range(3):
-            if v[2 * i] + v[2 * i + 1] != 1:
-                raise InputError("entries must pair-sum to 1")
-        return cls((v[0], v[2], v[4]))
-
 
 def even_logic_cube() -> TheorySpace:
     """The cube of marginal triples (1, l1, l2, l3), vertices 0/1."""
@@ -129,11 +110,6 @@ def even_logic_observables(theory: TheorySpace) -> dict[str, Observable]:
             (Effect(theory, tuple(plus)), Effect(theory, minus)),
         )
     return out
-
-
-def logic_state_to_state(theory: TheorySpace, s: LogicState) -> State:
-    """Embed a logic state into the cube theory (always succeeds)."""
-    return validate_state(theory, (_ONE,) + s.lambdas)
 
 
 def cube_vertex_states() -> dict[str, LogicState]:

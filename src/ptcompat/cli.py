@@ -71,8 +71,8 @@ def _read_json(path: Path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_observables(config: RunConfig):

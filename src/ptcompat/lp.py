@@ -33,6 +33,9 @@ Outcomes
     ``beta = sum_i y_i s_i b_i`` must satisfy ``r_j >= 0`` on
     nonnegative variables, ``r_j == 0`` on free variables and
     ``beta < 0``; then ``r . x >= 0 > beta`` refutes every candidate.
+    So ``verify`` checks it as a dual ray: the multipliers ``s_i y_i``
+    must pass the ``max`` dual conditions above for the objective
+    ``c = 0``, with bound ``beta < 0`` in place of ``beta == value``.
 
 ``Unbounded(ray)``
     A recession direction of the feasible set that strictly improves
@@ -200,100 +203,78 @@ LpOutcome = Optimal | Infeasible | Unbounded
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome's certificate with exact arithmetic only."""
     if isinstance(outcome, Optimal):
-        if not _verify_point(lp, outcome.point, outcome.value):
+        point, duals = outcome.point, outcome.duals
+        if not _satisfies(lp, point, lp.rhs):
             return False
         if lp.objective is None:
-            return outcome.duals is None
-        return _verify_duals(lp, outcome.duals, outcome.value)
+            return outcome.value == 0 and duals is None
+        if outcome.value != _dot(lp.objective, point):
+            return False
+        if duals is None or len(duals) != len(lp.rows):
+            return False
+        sign = 1 if lp.sense == MAX else -1  # min mirrors every inequality
+        bound = _dual_bound(lp, [sign * y for y in duals], [sign * c for c in lp.objective])
+        return bound is not None and bound == sign * outcome.value
     if isinstance(outcome, Infeasible):
-        return _verify_farkas(lp, outcome.farkas)
+        # a dual ray for the objective c = 0, a >= row entering negated
+        farkas = outcome.farkas
+        if len(farkas) != len(lp.rows):
+            return False
+        bound = _dual_bound(lp, [-y if rel == ">=" else y for y, rel in zip(farkas, lp.relations)],
+                            [_ZERO] * lp.num_vars)
+        return bound is not None and bound < 0
     if isinstance(outcome, Unbounded):
-        return _verify_ray(lp, outcome.ray)
+        ray = outcome.ray
+        if lp.objective is None or not _satisfies(lp, ray, [_ZERO] * len(lp.rows)):
+            return False
+        gain = _dot(lp.objective, ray)
+        return gain > 0 if lp.sense == MAX else gain < 0
     return False
 
 
-def _verify_point(lp, point, value):
-    if len(point) != lp.num_vars:
+def _satisfies(lp, vec, rhs):
+    """Whether ``vec`` has one entry per variable, keeps the sign bounds
+    and satisfies every row with ``rhs`` as its right sides."""
+    if len(vec) != lp.num_vars:
         return False
-    for x, nn in zip(point, lp.nonneg):
+    for x, nn in zip(vec, lp.nonneg):
         if nn and x < 0:
             return False
-    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
-        lhs = _dot(row, point)
+    for row, rel, b in zip(lp.rows, lp.relations, rhs):
+        lhs = _dot(row, vec)
         if rel == "<=" and lhs > b:
             return False
         if rel == ">=" and lhs < b:
             return False
         if rel == "=" and lhs != b:
             return False
-    expected = _dot(lp.objective, point) if lp.objective is not None else _ZERO
-    return value == expected
+    return True
 
 
-def _verify_duals(lp, duals, value):
-    if duals is None or len(duals) != len(lp.rows):
-        return False
-    sign = 1 if lp.sense == MAX else -1  # min mirrors every inequality
+def _dual_bound(lp, y, c):
+    """``b . y`` if the row multipliers ``y`` are dual feasible for
+    maximizing ``c . x``, else None: ``y >= 0`` on ``<=`` rows, ``y <= 0``
+    on ``>=`` rows, ``A^T y >= c`` on nonnegative variables and
+    ``A^T y == c`` on free ones.  Then ``c . x <= b . y`` for every
+    feasible ``x``."""
     combined = [_ZERO] * lp.num_vars
     bound = _ZERO
-    for y, row, rel, b in zip(duals, lp.rows, lp.relations, lp.rhs):
-        if (rel == "<=" and sign * y < 0) or (rel == ">=" and sign * y > 0):
-            return False
-        if not y:
+    for v, row, rel, b in zip(y, lp.rows, lp.relations, lp.rhs):
+        if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
+            return None
+        if not v:
             continue
         for j, a in enumerate(row):
             if a:
-                combined[j] += y * a
-        bound += y * b
-    for r, c, nn in zip(combined, lp.objective, lp.nonneg):
+                combined[j] += v * a
+        bound += v * b
+    for r, cj, nn in zip(combined, c, lp.nonneg):
         if nn:
-            if sign * (r - c) < 0:
-                return False
-        elif r != c:
-            return False
-    return bound == value
-
-
-def _verify_farkas(lp, farkas):
-    if len(farkas) != len(lp.rows) or not lp.rows:
-        return False
-    combined = [_ZERO] * lp.num_vars
-    beta = _ZERO
-    for y, row, rel, b in zip(farkas, lp.rows, lp.relations, lp.rhs):
-        if rel != "=" and y < 0:
-            return False
-        sy = -y if rel == ">=" else y
-        if sy == 0:
-            continue
-        for j, a in enumerate(row):
-            if a:
-                combined[j] += sy * a
-        beta += sy * b
-    for r, nn in zip(combined, lp.nonneg):
-        if nn:
-            if r < 0:
-                return False
-        elif r != 0:
-            return False
-    return beta < 0
-
-
-def _verify_ray(lp, ray):
-    if lp.objective is None or len(ray) != lp.num_vars:
-        return False
-    for d, nn in zip(ray, lp.nonneg):
-        if nn and d < 0:
-            return False
-    for row, rel in zip(lp.rows, lp.relations):
-        drift = _dot(row, ray)
-        if rel == "<=" and drift > 0:
-            return False
-        if rel == ">=" and drift < 0:
-            return False
-        if rel == "=" and drift != 0:
-            return False
-    gain = _dot(lp.objective, ray)
-    return gain > 0 if lp.sense == MAX else gain < 0
+            if r < cj:
+                return None
+        elif r != cj:
+            return None
+    return bound
 
 
 def _dot(row, vec):
@@ -678,63 +659,60 @@ class _Simplex:
             if self.obj1 is not None:
                 self.obj1 = [-v for v in self.obj1]
 
-    def _bland_step(self, obj, n_enterable):
-        """One simplex step; returns 'optimal', 'unbounded', or 'pivoted'."""
-        enter = -1
-        for j in range(n_enterable):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", -1
-        leave = -1
-        lv_num = lv_den = 0
-        for i, row in enumerate(self.rows):
-            a = row[enter]
-            if a <= 0:
-                continue
-            b = row[-1]
-            if leave < 0 or b * lv_den < lv_num * a or (
-                b * lv_den == lv_num * a and self.basis[i] < self.basis[leave]
-            ):
-                leave, lv_num, lv_den = i, b, a
-        if leave < 0:
-            return "unbounded", enter
-        self._pivot(leave, enter)
-        return "pivoted", -1
-
     # -- phases -----------------------------------------------------------
+
+    def _optimize(self, phase1):
+        """Bland-rule pivots on the phase's reduced costs.  Returns -1 once
+        no reduced cost is negative, or the entering column that no row
+        bounds (the program is unbounded along it)."""
+        for _ in range(_MAX_PIVOTS):
+            obj = self.obj1 if phase1 else self.obj2
+            enter = next((j for j in range(self.n_enter_phase2) if obj[j] < 0), -1)
+            if enter < 0:
+                return -1
+            leave = -1
+            lv_num = lv_den = 0
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                b = row[-1]
+                if leave < 0 or b * lv_den < lv_num * a or (
+                    b * lv_den == lv_num * a and self.basis[i] < self.basis[leave]
+                ):
+                    leave, lv_num, lv_den = i, b, a
+            if leave < 0:
+                return enter
+            self._pivot(leave, enter)
+        raise InternalError("pivot limit exceeded")
 
     def run(self) -> LpOutcome:
         """The outcome over all of the program's rows, those outside the
         working set carrying zero multipliers.  An unbounded outcome leaves
         its feasible point in ``self.point``, as an optimal one does."""
         if self.obj1 is not None:
-            state = None
-            for _ in range(_MAX_PIVOTS):
-                state, _col = self._bland_step(self.obj1, self.n_enter_phase2)
-                if state == "optimal":
-                    break
-                if state == "unbounded":
-                    raise InternalError("phase-1 objective cannot be unbounded")
-            else:
-                raise InternalError("pivot limit exceeded")
+            if self._optimize(phase1=True) >= 0:
+                raise InternalError("phase-1 objective cannot be unbounded")
             if self.obj1[-1] < 0:  # minimum of artificial sum is positive
-                return Infeasible(self._extract_farkas())
+                y = self._multipliers(self.obj1, phase1=True)
+                return Infeasible(tuple(v if rel == ">=" else -v
+                                        for v, rel in zip(y, self.lp.relations)))
             self._evict_artificials()
             self.obj1 = None
 
-        for _ in range(_MAX_PIVOTS):
-            state, col = self._bland_step(self.obj2, self.n_enter_phase2)
-            if state == "pivoted":
-                continue
-            self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
-            if state == "optimal":
-                return Optimal(self.point, self._value(), self._extract_duals())
+        col = self._optimize(phase1=False)
+        self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
+        if col >= 0:
             ray = {c: -row[col] for c, row in zip(self.basis, self.rows)}
             ray[col] = self.delta
             return Unbounded(self._variables(ray))
-        raise InternalError("pivot limit exceeded")
+        if self.lp.objective is None:
+            return Optimal(self.point, _ZERO)
+        nums, den = self.lp.objective
+        y = self._multipliers(self.obj2, phase1=False)
+        # the zeros of rows off the working set need no division
+        return Optimal(self.point, _dot(nums, self.point) / den,
+                       tuple(v and v / self.obj_scale for v in y))
 
     def _evict_artificials(self):
         """Pivot zero-level artificials out of the basis; drop redundant rows."""
@@ -746,11 +724,7 @@ class _Simplex:
                 continue
             if self.rows[r][-1] != 0:
                 raise InternalError("artificial variable stuck at a nonzero level")
-            enter = -1
-            for j in range(self.n_enter_phase2):
-                if self.rows[r][j] != 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(self.n_enter_phase2) if self.rows[r][j]), -1)
             if enter >= 0:
                 self._pivot(r, enter)
                 r += 1
@@ -772,35 +746,20 @@ class _Simplex:
             values.append(Fraction(x, self.delta))
         return tuple(values)
 
-    def _value(self):
-        if self.lp.objective is None:
-            return _ZERO
-        nums, den = self.lp.objective
-        return _dot(nums, self.point) / den
-
-    def _unit_column(self, k):
-        """Column that started as e_k: the artificial if present, else the slack."""
-        return self.art_col[k] if self.art_col[k] >= 0 else self.slack_col[k]
-
-    def _extract_farkas(self):
-        farkas = [_ZERO] * len(self.lp.rows)
+    def _multipliers(self, obj, phase1):
+        """One multiplier per program row, read off the reduced costs
+        ``obj`` at the column that started as the row's unit column (its
+        artificial if it has one, else its slack): the artificial's phase-1
+        cost of 1 (0 otherwise) minus that reduced cost, times the row's
+        scale, all over ``self.delta``.  Rows outside the working set get
+        zero."""
+        y = [_ZERO] * len(self.lp.rows)
         for k, i in enumerate(self.row_indices):
-            col = self._unit_column(k)
-            red = Fraction(self.obj1[col], self.delta)
-            w = (1 - red) if self.art_col[k] >= 0 else -red
-            raw = -w * self.scale[k]
-            farkas[i] = -raw if self.lp.relations[i] == ">=" else raw
-        return tuple(farkas)
-
-    def _extract_duals(self):
-        if self.lp.objective is None:
-            return None
-        duals = [_ZERO] * len(self.lp.rows)
-        for k, i in enumerate(self.row_indices):
-            col = self._unit_column(k)
-            w = -Fraction(self.obj2[col], self.delta)
-            duals[i] = w * self.scale[k] / self.obj_scale
-        return tuple(duals)
+            art = self.art_col[k] >= 0
+            col = self.art_col[k] if art else self.slack_col[k]
+            cost = self.delta if phase1 and art else 0
+            y[i] = Fraction((cost - obj[col]) * self.scale[k], self.delta)
+        return y
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,6 @@ class TheorySpace:
     def make(cls, name, dim, extreme_points, unit) -> "TheorySpace":
         return cls(str(name), int(dim), tuple(vec(x) for x in extreme_points), vec(unit))
 
-    def extreme_state(self, index: int) -> "State":
-        weights = tuple(
-            Fraction(1) if i == index else Fraction(0)
-            for i in range(len(self.extreme_points))
-        )
-        return State(self, self.extreme_points[index], weights)
-
 
 @dataclass(frozen=True)
 class State:
@@ -167,11 +160,6 @@ class OutcomeMap:
     @property
     def mapping(self) -> dict[str, str]:
         return dict(self.pairs)
-
-    def compose_after(self, other: "OutcomeMap") -> "OutcomeMap":
-        """self o other: apply ``other`` first, then ``self``."""
-        mine = self.mapping
-        return OutcomeMap(tuple((src, mine[dst]) for src, dst in other.pairs))
 
 
 @dataclass(frozen=True)
@@ -321,30 +309,3 @@ def validate_state(theory: TheorySpace, coords) -> State:
     y = out.farkas
     separating = tuple(y[r] + y[theory.dim] * theory.unit[r] for r in range(theory.dim))
     raise HullRejection(v, separating)
-
-
-def mix_states(states, weights) -> State:
-    """Exact convex combination of validated states (weights witness included)."""
-    states = list(states)
-    weights = vec(weights)
-    if not states or len(states) != len(weights):
-        raise InputError("need one weight per state")
-    if any(w < 0 for w in weights) or sum(weights) != 1:
-        raise InputError("weights must be nonnegative and sum to 1")
-    theory = states[0].theory
-    if any(s.theory != theory for s in states):
-        raise InputError("states belong to different theories")
-    dim = theory.dim
-    coords = [Fraction(0)] * dim
-    for s, w in zip(states, weights):
-        for j, c in enumerate(s.coords):
-            coords[j] += w * c
-    hull = None
-    if all(s.weights is not None for s in states):
-        n = len(theory.extreme_points)
-        acc = [Fraction(0)] * n
-        for s, w in zip(states, weights):
-            for j, c in enumerate(s.weights):
-                acc[j] += w * c
-        hull = tuple(acc)
-    return State(theory, tuple(coords), hull)

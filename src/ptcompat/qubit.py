@@ -1,7 +1,10 @@
 """Closed-form reference results for the transverse qubit readers.
 
-This is the one floating-point module: it serves as a bracketing
-oracle for the exact LP pipeline and never produces certificates.  A
+This module computes in floating point throughout: it serves as a
+bracketing oracle for the exact LP pipeline and never produces
+certificates.  (The only other floating-point code, libm calls in
+``catalog.sphere_sequence`` and ``compat.angular_directions``, is
+rounded to rationals before any program sees it.)  A
 dichotomic unbiased qubit effect pair is characterized by its two ball
 vectors; the joint-measurability criterion |a+b| + |a-b| <= 2 is the
 standard one for that unbiased case, which is all that is needed to

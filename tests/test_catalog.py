@@ -57,8 +57,8 @@ def test_even_logic_cube_vertices():
     t = catalog.even_logic_cube()
     assert len(t.extreme_points) == 8
     states = catalog.cube_vertex_states()
-    assert states["delta1"].sixtuple == (1, 0, 1, 0, 1, 0)
-    assert states["gamma1"].sixtuple == (0, 1, 0, 1, 0, 1)
+    assert states["delta1"].lambdas == (1, 1, 1)
+    assert states["gamma1"].lambdas == (0, 0, 0)
     for name, s in states.items():
         coords = (F(1),) + s.lambdas
         assert coords in t.extreme_points, name
@@ -75,18 +75,14 @@ def test_logic_state_classification():
 
 def test_logic_state_embeds_into_cube():
     t = catalog.even_logic_cube()
-    s = catalog.logic_state_to_state(t, catalog.LogicState.make(["1/2", "0", "1"]))
+    s = model.validate_state(t, (1,) + catalog.LogicState.make(["1/2", "0", "1"]).lambdas)
     assert s.coords == (F(1), F(1, 2), F(0), F(1))
     assert s.weights is not None
 
 
-def test_logic_state_round_trip_and_validation():
-    s = catalog.LogicState.make(["1/3", "1/4", "1"])
-    assert catalog.LogicState.from_sixtuple(s.sixtuple) == s
+def test_logic_state_marginals_in_unit_interval():
     with pytest.raises(InputError):
         catalog.LogicState.make([2, 0, 0])
-    with pytest.raises(InputError):
-        catalog.LogicState.from_sixtuple([1, 1, 0, 1, 0, 1])
 
 
 def test_cube_coordinate_readers_are_incompatible():

@@ -153,6 +153,17 @@ def test_malformed_json_exits_2(tmp_path):
     assert "line" in res.output or "line" in (res.stderr or "")
 
 
+def test_oversized_json_integer_exits_2(tmp_path):
+    # json.loads refuses integers longer than Python's digit limit with a
+    # plain ValueError
+    big = tmp_path / "big.json"
+    big.write_text('{"name": "big", "dim": ' + "1" * 5000 + "}")
+    for args in (("theory", "show", str(big)), ("check", str(big), "X@gbit-square")):
+        res = invoke(*args)
+        assert res.exit_code == 2, args
+        assert "error:" in res.output
+
+
 def test_theory_dim_must_be_a_json_integer(tmp_path):
     theory = catalog.square_gbit()
     obs = catalog.square_gbit_observables(theory)

@@ -232,6 +232,56 @@ def test_verify_rejects_tampered_duals():
     found = lp.solve(feasibility)
     assert found.duals is None
     assert not lp.verify(feasibility, lp.Optimal(found.point, found.value, (F(0),)))
+    assert not lp.verify(feasibility, lp.Optimal(found.point, F(1)))  # value is not 0
+
+
+def test_verify_rejects_tampered_farkas():
+    # x >= 0, z free: x + z <= -1 and z >= 0 force x <= -1; the other two
+    # rows only give the tampered certificates something to combine
+    prog = lp.LinearProgram.create(
+        2, [((1, 1), "<=", -1), ((0, 1), ">=", 0), ((1, -1), "=", 5), ((-1, 0), "<=", 3)],
+        nonneg=(True, False))
+    good = (F(1), F(1), F(0), F(0))
+    assert lp.verify(prog, lp.Infeasible(good))
+    # each tampered certificate below fails exactly one condition
+    assert not lp.verify(prog, lp.Infeasible((F(0), F(0), F(0), F(-1))))  # negative on a <= row
+    assert not lp.verify(prog, lp.Infeasible((F(1), F(0), F(0), F(0))))  # z keeps weight 1
+    assert not lp.verify(prog, lp.Infeasible((F(0), F(1), F(-1), F(0))))  # x gets weight -1
+    assert not lp.verify(prog, lp.Infeasible((F(0),) * 4))  # right side 0 is not negative
+    assert not lp.verify(prog, lp.Infeasible(good + (F(0),)))
+    assert not lp.verify(prog, lp.Infeasible(good[:3]))
+    no_rows = simple_lp([], objective=(1,), sense=lp.MAX, num_vars=1)
+    assert not lp.verify(no_rows, lp.Infeasible(()))
+
+
+def test_verify_rejects_tampered_rays():
+    # x, y, w >= 0 and z free: y - 2x <= 1, x - w >= 0, z - x = 0
+    def ray_lp(objective, sense):
+        return lp.LinearProgram.create(
+            4, [((-2, 1, 0, 0), "<=", 1), ((1, 0, -1, 0), ">=", 0), ((-1, 0, 0, 1), "=", 0)],
+            objective=objective, sense=sense, nonneg=(True, True, True, False))
+
+    def is_ray(prog, ray):
+        return lp.verify(prog, lp.Unbounded(tuple(map(F, ray))))
+
+    # maximize x: each tampered ray below fails exactly one condition
+    prog = ray_lp((1, 0, 0, 0), lp.MAX)
+    assert is_ray(prog, (1, 1, 1, 1))
+    assert not is_ray(prog, (1, -1, 1, 1))  # negative y
+    assert not is_ray(prog, (1, 3, 1, 1))  # drifts up through the <= row
+    assert not is_ray(prog, (1, 1, 2, 1))  # drifts down through the >= row
+    assert not is_ray(prog, (1, 1, 1, 2))  # drifts off the = row
+    assert not is_ray(prog, (0, 0, 0, 0))  # no gain
+    assert not is_ray(prog, (1, 1, 1, 1, 1))  # one entry too many
+    assert not is_ray(ray_lp(None, lp.FEASIBILITY), (1, 1, 1, 1))
+
+    # x - y can move either way along rays; min mirrors the gain's sign
+    for sense, better, worse in ((lp.MAX, (1, 0, 0, 1), (1, 2, 1, 1)),
+                                 (lp.MIN, (1, 2, 1, 1), (1, 0, 0, 1))):
+        prog = ray_lp((1, -1, 0, 0), sense)
+        assert is_ray(prog, better)
+        assert not is_ray(prog, (1, 1, 1, 1))  # zero gain
+        assert not is_ray(prog, worse)
 
 
 def test_determinism_bit_identical():

@@ -33,6 +33,16 @@ def coordinate_observable(theory, coord):
     )
 
 
+def vertex(theory, i):
+    return model.validate_state(theory, theory.extreme_points[i])
+
+
+def mixture(theory, i, j, w):
+    """``w`` times vertex ``i`` plus ``1 - w`` times vertex ``j``."""
+    pi, pj = theory.extreme_points[i], theory.extreme_points[j]
+    return model.validate_state(theory, tuple(w * a + (1 - w) * b for a, b in zip(pi, pj)))
+
+
 def test_theory_validation():
     with pytest.raises(InputError):
         model.TheorySpace.make("bad", 2, [(1, 0), (1, 0)], (1, 1))  # duplicates
@@ -46,10 +56,7 @@ def test_apply_trivial_is_state_independent():
     t = segment()
     p = model.Distribution.make(["1/3", "2/3"])
     triv = model.make_trivial(t, p, ("a", "b"))
-    s0 = t.extreme_state(0)
-    s1 = t.extreme_state(1)
-    mid = model.mix_states([s0, s1], [F(1, 2), F(1, 2)])
-    for s in (s0, s1, mid):
+    for s in (vertex(t, 0), vertex(t, 1), mixture(t, 0, 1, F(1, 2))):
         assert model.apply(triv, s).probs == p.probs
 
 
@@ -67,16 +74,15 @@ def test_apply_is_affine():
     for _ in range(20):
         i, j = rng.randrange(8), rng.randrange(8)
         w = F(rng.randint(0, 8), 8)
-        s = model.mix_states([t.extreme_state(i), t.extreme_state(j)], [w, 1 - w])
-        left = model.apply(obs, s).probs
-        pi = model.apply(obs, t.extreme_state(i)).probs
-        pj = model.apply(obs, t.extreme_state(j)).probs
+        left = model.apply(obs, mixture(t, i, j, w)).probs
+        pi = model.apply(obs, vertex(t, i)).probs
+        pj = model.apply(obs, vertex(t, j)).probs
         assert left == tuple(w * a + (1 - w) * b for a, b in zip(pi, pj))
 
 
 def test_apply_rejects_theory_mismatch():
     with pytest.raises(InputError):
-        model.apply(coordinate_observable(three_cube(), 1), segment().extreme_state(0))
+        model.apply(coordinate_observable(three_cube(), 1), vertex(segment(), 0))
 
 
 def test_make_trivial_point_and_split():
@@ -169,8 +175,9 @@ def test_post_process_composes():
     )
     g = model.OutcomeMap.make({"a": "x", "b": "y", "c": "y"})
     h = model.OutcomeMap.make({"x": "u", "y": "u"})
+    h_after_g = model.OutcomeMap.make({"a": "u", "b": "u", "c": "u"})
     assert model.post_process(model.post_process(obs, g), h) == model.post_process(
-        obs, h.compose_after(g)
+        obs, h_after_g
     )
 
 
@@ -225,6 +232,6 @@ def test_every_observable_yields_distributions_on_extremes():
             (first, model.Effect(t, tuple(u - c for u, c in zip(t.unit, first.coeffs)))),
         )
         for i in range(8):
-            dist = model.apply(obs, t.extreme_state(i))
+            dist = model.apply(obs, vertex(t, i))
             assert sum(dist.probs) == 1
             assert all(p >= 0 for p in dist.probs)
