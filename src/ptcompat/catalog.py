@@ -2,21 +2,24 @@
 
 Catalog names understood by :func:`get_theory`:
 
-* ``classical:<n>``   - probability simplex on n outcomes
+* ``classical:<n>``   - probability simplex on n outcomes, 1 <= n <= 1024
 * ``gbit-square``     - square state space (the simplest non-simplex)
 * ``even-logic-cube`` - states of the even-cardinality event structure
   on a 4-point sample space; a cube of marginal triples
 * ``bloch:<n>``       - inscribed rational polytope approximation of the
-  unit ball with n spherical-sequence points
+  unit ball with n points exactly on the unit sphere, 4 <= n <= 16384
 * ``bloch-octahedron``- the six axis points of the ball, exact
 
-Every constructor is pure and deterministic.
+Counts are plain ASCII decimals without leading zeros, so a resolved
+theory carries exactly the name it was asked for.  Every constructor is
+pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +29,7 @@ from .model import (
     Effect,
     Observable,
     TheorySpace,
+    clip_repr,
     dot,
     vec,
 )
@@ -33,11 +37,17 @@ from .model import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Size limits on catalog names, checked before anything is built.
+MAX_CLASSICAL_OUTCOMES = 1024  # n^2 coordinates and an O(n^3) rank check
+MAX_BLOCH_POINTS = 16384  # sphere_sequence points are checked distinct up to here
+
 
 def classical_simplex(n: int) -> TheorySpace:
     """Probability simplex: standard basis states, all-ones unit."""
     if n < 1:
         raise InputError("a classical theory needs at least one outcome")
+    if n > MAX_CLASSICAL_OUTCOMES:
+        raise InputError(f"a classical theory has at most {MAX_CLASSICAL_OUTCOMES} outcomes")
     points = [tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n)]
     return TheorySpace(f"classical:{n}", n, tuple(points), (_ONE,) * n)
 
@@ -151,47 +161,37 @@ def is_classical_state(s: LogicState) -> bool:
 # ball approximations
 
 
-def _van_der_corput(i: int) -> float:
-    value, denom = 0.0, 1.0
-    while i:
-        denom *= 2.0
-        i, bit = divmod(i, 2)
-        value += bit / denom
-    return value
-
-
-def _ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
-_ROUND_DENOM = 10**6
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_PLANE_SCALE = 2**10  # stereographic grid 1/d: denominators d^2 + p^2 + q^2 < 2^21
 
 
 def sphere_sequence(count: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Deterministic well-spread sphere sequence, rationalized inward.
+    """Deterministic well-spread points exactly on the unit sphere.
 
-    Golden-angle azimuth with bit-reversed heights, so the first k
-    points of a longer sequence are exactly the k-point sequence
-    (prefixes are nested).  Coordinates are rounded to denominator
-    10^6 and then scaled by an exact rational lower bound of 1/|r|, so
-    every emitted point satisfies x^2 + y^2 + z^2 <= 1 exactly.
+    Point i aims at height z = 1 - 2 v(i), v the van der Corput sequence,
+    and azimuth i * 377/987 turns (a Fibonacci golden angle), the part
+    inside each quarter turn given by its half-angle tangent t as
+    (1 - t^2, 2t)/(1 + t^2).  Its stereographic plane point, scaled by
+    d = 2^10, is rounded to integers (p, q) and mapped back exactly to
+    (2pd, 2qd, +-(d^2 - p^2 - q^2))/(d^2 + p^2 + q^2).  Point i depends
+    on i alone, so the first k points of a longer sequence are exactly
+    the k-point sequence (prefixes are nested).
     """
+    d = _PLANE_SCALE
     points = []
     for i in range(count):
-        z = 1.0 - 2.0 * _van_der_corput(i)
-        ring = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = i * _GOLDEN_ANGLE
-        triple = (math.cos(phi) * ring, math.sin(phi) * ring, z)
-        rounded = [Fraction(round(c * _ROUND_DENOM), _ROUND_DENOM) for c in triple]
-        norm_sq = sum(c * c for c in rounded)
-        if norm_sq > 1:
-            # 1/u <= 1/|r| with u = ceil(sqrt(num*den))/den >= sqrt(norm_sq)
-            upper = Fraction(_ceil_sqrt(norm_sq.numerator * norm_sq.denominator),
-                             norm_sq.denominator)
-            rounded = [c / upper for c in rounded]
-        points.append(tuple(rounded))
+        # van der Corput: the binary digits of i mirrored behind the point
+        z = 1 - 2 * Fraction(int(bin(i)[:1:-1], 2), 1 << i.bit_length())
+        quarter, t = divmod(4 * (i * 377 % 987), 987)
+        t = Fraction(t, 987)
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        for _ in range(quarter):
+            c, s = -s, c
+        # plane radius d * sqrt((1 - |z|)/(1 + |z|)), projected from the far pole
+        r = math.isqrt(int(d * d * (1 - abs(z)) / (1 + abs(z))))
+        p, q = round(r * c), round(r * s)
+        norm, height = d * d + p * p + q * q, d * d - p * p - q * q
+        points.append((Fraction(2 * p * d, norm), Fraction(2 * q * d, norm),
+                       Fraction(height if z >= 0 else -height, norm)))
     return points
 
 
@@ -199,6 +199,8 @@ def bloch_polytope(points: int) -> TheorySpace:
     """Inscribed rational polytope standing in for the unit-ball theory."""
     if points < 4:
         raise InputError("need at least 4 points to span the ball coordinates")
+    if points > MAX_BLOCH_POINTS:
+        raise InputError(f"a ball polytope has at most {MAX_BLOCH_POINTS} points")
     extremes = [(_ONE,) + p for p in sphere_sequence(points)]
     return TheorySpace(f"bloch:{points}", 4, tuple(extremes),
                        (_ONE, _ZERO, _ZERO, _ZERO))
@@ -307,14 +309,16 @@ def get_theory(name: str) -> TheorySpace:
         return classical_simplex(_parse_count(name))
     if name.startswith("bloch:"):
         return bloch_polytope(_parse_count(name))
-    raise InputError(f"unknown theory {name!r}")
+    raise InputError(f"unknown theory {clip_repr(name)}")
 
 
 def _parse_count(name: str) -> int:
-    try:
-        return int(name.split(":", 1)[1])
-    except ValueError as exc:
-        raise InputError(f"bad count in theory name {name!r}") from exc
+    count = name.split(":", 1)[1]
+    if not re.fullmatch(r"0|[1-9][0-9]*", count):
+        raise InputError(f"bad count in theory name {clip_repr(name)}")
+    if len(count) > 9:  # past every catalog limit, and short of int's digit limit
+        raise InputError(f"count in theory name {clip_repr(name)} is too large")
+    return int(count)
 
 
 def named_observables(theory: TheorySpace) -> dict[str, Observable]:

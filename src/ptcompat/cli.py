@@ -188,11 +188,11 @@ def _run_interval(config):
 
 
 def _run_region(config):
+    directions = compat.angular_directions(config.directions)
     _, observables = _load_observables(config)
     if len(observables) != 2:
         raise InputError("the direction grid is two-dimensional; "
                          "pass exactly two observables")
-    directions = compat.angular_directions(config.directions)
     dump = None
     if config.dump_lp:
         parts = []
@@ -336,7 +336,8 @@ def interval(observables, theory_name, out, dump_lp):
 @main.command()
 @click.argument("observables", nargs=-1, required=True)
 @click.option("--directions", default=16, show_default=True,
-              help="Size of the uniform angular direction grid.")
+              help="Number of evenly spaced unit-sum directions "
+                   f"(at most {compat.MAX_DIRECTIONS}).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @_common_options
@@ -373,7 +374,8 @@ def qubit_group():
 
 @qubit_group.command("disk")
 @click.option("--step", default="1/200", show_default=True,
-              help="Grid step as a rational (e.g. 1/200).")
+              help="Grid step as a rational (e.g. 1/200); "
+                   f"at most {qubit.MAX_GRID_SIDE} values per axis.")
 @click.option("--out", default=None, type=click.Path())
 def qubit_disk(step, out):
     """Emit the quadrant-disk membership grid as CSV."""

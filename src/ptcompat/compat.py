@@ -394,20 +394,19 @@ def region_boundary_scan(observables, directions) -> list[RegionSample]:
                                     w.joint, w.noises))
     return samples
 
+
+MAX_DIRECTIONS = 1024  # each direction is one solved program
+
+
 def angular_directions(count: int) -> list[tuple[Fraction, Fraction]]:
-    """Unit-sum rational directions on a uniform angular grid (two axes)."""
+    """Evenly spaced unit-sum directions (1 - i/(n-1), i/(n-1)) from axis to axis."""
     if count < 1:
         raise InputError("need at least one direction")
+    if count > MAX_DIRECTIONS:
+        raise InputError(f"at most {MAX_DIRECTIONS} directions")
     if count == 1:
         return [(Fraction(1, 2), Fraction(1, 2))]
-    out = []
-    scale = 10_000
-    for i in range(count):
-        theta = (math.pi / 2) * i / (count - 1)
-        a = max(0, round(math.cos(theta) * scale))
-        b = max(0, round(math.sin(theta) * scale))
-        out.append((Fraction(a, a + b), Fraction(b, a + b)))
-    return out
+    return [(1 - Fraction(i, count - 1), Fraction(i, count - 1)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

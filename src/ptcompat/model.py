@@ -13,6 +13,8 @@ No floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,8 +34,26 @@ def frac(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
-    raise InputError(f"not a rational: {value!r}")
+            if isinstance(exc, ValueError) and _rational_shape(value):
+                raise InputError(f"rational {clip_repr(value)} exceeds the integer digit "
+                                 f"limit ({sys.get_int_max_str_digits()} digits)") from exc
+            raise InputError(f"not a rational: {clip_repr(value)}") from exc
+    raise InputError(f"not a rational: {clip_repr(value)}")
+
+
+def clip_repr(value) -> str:
+    """repr of a value for an error message, cut after 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def _rational_shape(text: str) -> bool:
+    """Does the text parse once every run of digits is cut to one digit?"""
+    try:
+        Fraction(re.sub(r"\d+", "1", text))
+    except ValueError:
+        return False
+    return True
 
 
 def vec(values) -> Vec:

@@ -2,14 +2,11 @@
 
 This module computes in floating point throughout: it serves as a
 bracketing oracle for the exact LP pipeline and never produces
-certificates.  (The only other floating-point code, libm calls in
-``catalog.sphere_sequence`` and ``compat.angular_directions``, is
-rounded to rationals before any program sees it.)  A
-dichotomic unbiased qubit effect pair is characterized by its two ball
-vectors; the joint-measurability criterion |a+b| + |a-b| <= 2 is the
-standard one for that unbiased case, which is all that is needed to
-reproduce the transverse-reader numbers used elsewhere (biased-noise
-optimality is not claimed here).
+certificates.  A dichotomic unbiased qubit effect pair is characterized
+by its two ball vectors; the joint-measurability criterion
+|a+b| + |a-b| <= 2 is the standard one for that unbiased case, which is
+all that is needed to reproduce the transverse-reader numbers used
+elsewhere (biased-noise optimality is not claimed here).
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ from typing import NamedTuple
 from .errors import InputError
 
 TOLERANCE = 1e-12
+MAX_GRID_SIDE = 1001  # points per axis of pauli_region: step 1/1000, 10^6 rows
 
 
 class BlochVector(NamedTuple):
@@ -56,10 +54,13 @@ def pauli_region(step: float):
     """Grid evaluation of the quadrant disk over [0, 1]^2.
 
     Returns (lam, mu, member) rows, CSV-exportable, with both axes
-    running over multiples of ``step`` up to 1.
+    running over multiples of ``step`` up to 1, at most MAX_GRID_SIDE
+    values each.
     """
     if step <= 0:
         raise InputError("grid step must be positive")
+    if 1 / step + 0.5 >= MAX_GRID_SIDE:
+        raise InputError(f"grid step too small: at most {MAX_GRID_SIDE} values per axis")
     count = int(math.floor(1 / step + 0.5)) + 1
     rows = []
     for i in range(count):

@@ -116,10 +116,21 @@ def test_bloch_polytope_points_inside_ball():
     t = catalog.bloch_polytope(64)
     assert len(t.extreme_points) == 64
     for x in t.extreme_points:
-        norm_sq = sum(c * c for c in x[1:])
-        assert norm_sq <= 1
+        assert sum(c * c for c in x[1:]) == 1
+        assert all(c.denominator < 2**21 for c in x)
     with pytest.raises(InputError):
         catalog.bloch_polytope(3)
+
+
+def test_sphere_sequence_is_pinned():
+    assert catalog.sphere_sequence(6) == [
+        (F(0), F(0), F(1)),
+        (F(-346112, 419337), F(1183744, 2096685), F(467, 2096685)),
+        (F(135168, 1397501), F(-1202176, 1397501), F(699651, 1397501)),
+        (F(297984, 699241), F(527360, 699241), F(-349335, 699241)),
+        (F(-774144, 1198685), F(-34816, 239737), F(898467, 1198685)),
+        (F(294912, 335573), F(-681984, 1677865), F(-419287, 1677865)),
+    ]
 
 
 def test_bloch_sequences_are_nested_prefixes():
@@ -152,6 +163,29 @@ def test_get_theory_resolver():
         catalog.get_theory("nonsense")
     with pytest.raises(InputError):
         catalog.get_theory("classical:x")
+
+
+@pytest.mark.parametrize("name", ["bloch:1_000", "bloch: 8", "bloch:08", "bloch:+8",
+                                  "classical:\u0663", "classical:2 ", "classical:"])
+def test_counts_are_plain_ascii_decimals(name):
+    # each of these would otherwise resolve to a theory named differently
+    with pytest.raises(InputError, match="bad count"):
+        catalog.get_theory(name)
+
+
+def test_size_limits_refuse_before_building(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a refused theory must not be built")
+
+    monkeypatch.setattr(catalog, "sphere_sequence", unbuilt)
+    monkeypatch.setattr(catalog, "TheorySpace", unbuilt)
+    for name, message in (
+        (f"classical:{catalog.MAX_CLASSICAL_OUTCOMES + 1}", "at most"),
+        (f"bloch:{catalog.MAX_BLOCH_POINTS + 1}", "at most"),
+        ("bloch:" + "9" * 5000, "too large"),
+    ):
+        with pytest.raises(InputError, match=message):
+            catalog.get_theory(name)
 
 
 def test_named_observables():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import ptcompat
-from ptcompat import catalog, model, serialize
+from ptcompat import catalog, compat, model, qubit, serialize
 from ptcompat.cli import RunConfig, execute, main
 
 F = Fraction
@@ -164,6 +166,38 @@ def test_oversized_json_integer_exits_2(tmp_path):
         assert "error:" in res.output
 
 
+def test_oversized_rational_string_exits_2_with_a_short_message(tmp_path):
+    doc = serialize.theory_to_doc(catalog.square_gbit())
+    doc["unit"][0] = "1" * 5000
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    res = invoke("theory", "show", str(big))
+    assert res.exit_code == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, lines
+    assert "exceeds the integer digit limit" in lines[0]
+
+
+def test_theory_show_bloch_512_bytes_are_pinned():
+    res = invoke("theory", "show", "bloch:512")
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert digest == "d1e93bce35b6406e5ea05be53d3fe311e4795f2e02d8c73c847488344de6cb07"
+
+
+@pytest.mark.parametrize("args", [
+    ("theory", "show", f"classical:{catalog.MAX_CLASSICAL_OUTCOMES + 1}"),
+    ("theory", "show", f"bloch:{catalog.MAX_BLOCH_POINTS + 1}"),
+    ("region", "--theory", "gbit-square", "X", "Y",
+     "--directions", str(compat.MAX_DIRECTIONS + 1)),
+    ("qubit", "disk", "--step", f"1/{qubit.MAX_GRID_SIDE}"),
+])
+def test_size_limits_exit_2(args):
+    res = invoke(*args)
+    assert res.exit_code == 2
+    assert "at most" in res.stderr
+
+
 def test_theory_dim_must_be_a_json_integer(tmp_path):
     theory = catalog.square_gbit()
     obs = catalog.square_gbit_observables(theory)
@@ -266,7 +300,6 @@ def test_region_reaches_dominate_disk_values(tmp_path):
     res = invoke("region", "--theory", "bloch:32", "pauli-x", "pauli-y",
                  "--directions", "5", "--out", str(out))
     assert res.exit_code == 0
-    from ptcompat import qubit
 
     rows = out.read_text().strip().split("\n")[1:]
     assert len(rows) == 5

@@ -370,8 +370,13 @@ def test_angular_directions_grid():
     assert dirs[0] == (F(1), F(0))
     assert dirs[-1] == (F(0), F(1))
     assert dirs[4] == (F(1, 2), F(1, 2))
-    for a, b in dirs:
+    for i, (a, b) in enumerate(dirs):
         assert a >= 0 and b >= 0 and a + b == 1
+        assert dirs[i] == dirs[len(dirs) - 1 - i][::-1]
+    assert compat.angular_directions(1) == [(F(1, 2), F(1, 2))]
+    for count in (0, compat.MAX_DIRECTIONS + 1):
+        with pytest.raises(InputError):
+            compat.angular_directions(count)
 
 
 # ---------------------------------------------------------------------------

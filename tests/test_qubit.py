@@ -81,3 +81,9 @@ def test_disk_reach():
 def test_region_step_validation():
     with pytest.raises(InputError):
         qubit.pauli_region(0)
+    # one value past the limit per axis is refused before any row is built
+    side = qubit.MAX_GRID_SIDE
+    assert len(qubit.pauli_region(1 / (side - 1))) == side * side
+    for step in (1 / side, 1e-5, 5e-324):
+        with pytest.raises(InputError, match="grid step too small"):
+            qubit.pauli_region(step)
