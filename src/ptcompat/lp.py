@@ -42,22 +42,27 @@ Outcomes
     the objective.
 
 ``verify`` re-checks any outcome against the program using exact
-arithmetic only (no re-solve); ``solve`` never returns an outcome that
-fails it.
+arithmetic only (no re-solve), in an integer encoding of its own;
+``solve`` never returns an outcome that fails it.
 
 Determinism
 -----------
 Two-phase primal simplex with Bland's anti-cycling rule and
 smallest-index tie breaking, so repeated solves are bit-identical.
-Internally the tableau is held as integers over one common positive
-denominator (integer-preserving pivoting); this is only a faster
-encoding of the same rationals and the interface stays Fraction end to
-end.  Every program is solved by row generation: the simplex first runs
-on the equality rows alone, and each round adds the inequality rows that
-its point (or ray) violates most, ties broken by row index, until no row
-is violated.  So the rows taken in do not depend on where the inequality
-rows sit, and certificates returned for the full program remain exact
-(rows never taken in carry zero multipliers).
+Internally the tableau is condensed and held as integers over one common
+positive denominator: it keeps one column per nonbasic variable, right
+side last, with a map from each slot to its original column number, and
+a pivot exchanges the entering column with the leaving basic one by a
+fraction-free (Bareiss) step whose divisions are exact.  Bland's rule
+reads the original column numbers, so the pivots are exactly those of
+the full tableau.  This is only a faster encoding of the same rationals
+and the interface stays Fraction end to end.  Every program is solved by
+row generation: the simplex first runs on the equality rows alone, and
+each round adds the inequality rows that its point (or ray) violates
+most, ties broken by row index, until no row is violated.  So the rows
+taken in do not depend on where the inequality rows sit, and
+certificates returned for the full program remain exact (rows never
+taken in carry zero multipliers).
 
 Presolve
 --------
@@ -201,7 +206,14 @@ LpOutcome = Optimal | Infeasible | Unbounded
 
 
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
-    """Re-check an outcome's certificate with exact arithmetic only."""
+    """Re-check an outcome's certificate with exact arithmetic only.
+
+    The check keeps an integer encoding of its own, independent of the
+    one that ``solve`` reads: a point or ray is put over the least common
+    denominator of its entries, each row it meets over the lcm of the
+    denominators there (its right side's included), and multipliers over
+    their own lcm, so that every comparison is one between integers.
+    """
     if isinstance(outcome, Optimal):
         point, duals = outcome.point, outcome.duals
         if not _satisfies(lp, point, lp.rhs):
@@ -212,9 +224,11 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
             return False
         if duals is None or len(duals) != len(lp.rows):
             return False
-        sign = 1 if lp.sense == MAX else -1  # min mirrors every inequality
-        bound = _dual_bound(lp, [sign * y for y in duals], [sign * c for c in lp.objective])
-        return bound is not None and bound == sign * outcome.value
+        y, c, value = duals, lp.objective, outcome.value
+        if lp.sense == MIN:  # min mirrors every inequality
+            y, c, value = [-v for v in y], [-a for a in c], -value
+        bound = _dual_bound(lp, y, c)
+        return bound is not None and bound == value
     if isinstance(outcome, Infeasible):
         # a dual ray for the objective c = 0, a >= row entering negated
         farkas = outcome.farkas
@@ -234,19 +248,35 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
 
 def _satisfies(lp, vec, rhs):
     """Whether ``vec`` has one entry per variable, keeps the sign bounds
-    and satisfies every row with ``rhs`` as its right sides."""
+    and satisfies every row with ``rhs`` as its right sides.  With ``vec``
+    as integers ``x`` over ``D``, a row is checked on its terms where both
+    factors are nonzero, scaled by the lcm ``L`` of their denominators and
+    its right side's: ``sum (a*L) x  REL  (b*L) D``."""
     if len(vec) != lp.num_vars:
         return False
     for x, nn in zip(vec, lp.nonneg):
         if nn and x < 0:
             return False
+    den = lcm(*(x.denominator for x in vec))
+    support = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(vec) if x]
     for row, rel, b in zip(lp.rows, lp.relations, rhs):
-        lhs = _dot(row, vec)
-        if rel == "<=" and lhs > b:
+        scale = b.denominator
+        terms = []
+        for j, x in support:
+            a = row[j]
+            n = a.numerator
+            if n:
+                d = a.denominator
+                terms.append((n, d, x))
+                if scale % d:
+                    scale = lcm(scale, d)
+        lhs = sum(n * (scale // d) * x for n, d, x in terms)
+        target = b.numerator * (scale // b.denominator) * den
+        if rel == "<=" and lhs > target:
             return False
-        if rel == ">=" and lhs < b:
+        if rel == ">=" and lhs < target:
             return False
-        if rel == "=" and lhs != b:
+        if rel == "=" and lhs != target:
             return False
     return True
 
@@ -256,33 +286,64 @@ def _dual_bound(lp, y, c):
     maximizing ``c . x``, else None: ``y >= 0`` on ``<=`` rows, ``y <= 0``
     on ``>=`` rows, ``A^T y >= c`` on nonnegative variables and
     ``A^T y == c`` on free ones.  Then ``c . x <= b . y`` for every
-    feasible ``x``."""
-    combined = [_ZERO] * lp.num_vars
-    bound = _ZERO
+    feasible ``x``.
+
+    In integers: ``y`` over its lcm ``D``, each row with a nonzero
+    multiplier over its own lcm ``L_i``, so ``A^T y`` and ``b . y`` are
+    integers over ``D * lcm(L_i)``.  (The lcm of the single denominators
+    would not do: the denominator of a product ``y_i a_ij`` need not
+    divide it.)"""
+    used = []
     for v, row, rel, b in zip(y, lp.rows, lp.relations, lp.rhs):
         if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
             return None
-        if not v:
-            continue
-        for j, a in enumerate(row):
-            if a:
-                combined[j] += v * a
-        bound += v * b
+        if v:
+            used.append((v, row, b))
+    y_den = lcm(*(v.denominator for v, _, _ in used))
+    encoded = []
+    rows_den = 1
+    for v, row, b in used:
+        sparse = [(j, a.numerator, a.denominator) for j, a in enumerate(row) if a]
+        scale = lcm(b.denominator, *(d for _, _, d in sparse))
+        rows_den = lcm(rows_den, scale)
+        encoded.append((v.numerator * (y_den // v.denominator), scale,
+                        [(j, n * (scale // d)) for j, n, d in sparse],
+                        b.numerator * (scale // b.denominator)))
+    combined = [0] * lp.num_vars
+    bound = 0
+    for u, scale, sparse, b in encoded:
+        w = u * (rows_den // scale)
+        for j, a in sparse:
+            combined[j] += w * a
+        bound += w * b
+    den = y_den * rows_den
     for r, cj, nn in zip(combined, c, lp.nonneg):
+        r, target = r * cj.denominator, cj.numerator * den
         if nn:
-            if r < cj:
+            if r < target:
                 return None
-        elif r != cj:
+        elif r != target:
             return None
-    return bound
+    return Fraction(bound, den)
 
 
 def _dot(row, vec):
-    total = _ZERO
+    """Exact dot product of rationals (ints allowed), summed as one integer
+    fraction and reduced once."""
+    num, den = 0, 1
     for a, x in zip(row, vec):
-        if a and x:
-            total += a * x
-    return total
+        an = a.numerator
+        if an:
+            xn = x.numerator
+            if xn:
+                d = a.denominator * x.denominator
+                if den % d == 0:
+                    num += an * xn * (den // d)
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + an * xn * (den // g)
+                    den = den // g * d
+    return Fraction(num, den)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -518,10 +579,14 @@ class _ScanCache:
 class _Simplex:
     """Two-phase simplex on a subset of rows, over scaled integers.
 
-    The tableau entries divided by ``self.delta`` (kept positive) are
-    the exact rational tableau; pivots use the integer-preserving
-    update ``t' = (p*t - f*s) / delta_previous`` whose division is
-    exact, so no rounding can occur anywhere.
+    The tableau is condensed: ``self.rows`` holds one entry per nonbasic
+    column, in the order of ``self.nonbasic`` (original column numbers),
+    and the right side last; a basic column is implicit, ``self.delta``
+    in its own row and 0 elsewhere, the reduced costs included.  The
+    entries divided by ``self.delta`` (kept positive) are the exact
+    rational tableau.  Pivots use the integer-preserving exchange
+    ``t' = (p*t - f*s) / delta_previous``, whose division is exact, so no
+    rounding can occur anywhere.
     """
 
     def __init__(self, lp, row_indices):
@@ -545,11 +610,9 @@ class _Simplex:
         self.slack_col = [-1] * m
         self.art_col = [-1] * m
         self.scale = [0] * m  # signed integer g_i: internal row = g_i * a_i
-        rows_int = []
-        rhs_int = []
-        basis = []
+        structural = []
+        rhs = []
         slack_signs = []
-
         for k, i in enumerate(self.row_indices):
             nums, den = lp.rows[i]
             rel = lp.relations[i]
@@ -564,40 +627,32 @@ class _Simplex:
                 flip = 1 if b >= 0 else -1
                 slack_sign = 0
             self.scale[k] = flip * den
-            rows_int.append(self._structural(nums, flip))
-            rhs_int.append(flip * b)
+            structural.append(self._structural(nums, flip))
+            rhs.append(flip * b)
             slack_signs.append(slack_sign)
-            basis.append(None)
 
         for k in range(m):
             if slack_signs[k] != 0:
                 self.slack_col[k] = ncols
                 ncols += 1
-        art_rows = []
         for k in range(m):
             if slack_signs[k] != 1:  # slack missing or with -1 coefficient
                 self.art_col[k] = ncols
-                art_rows.append(k)
                 ncols += 1
-        self.ncols = ncols
         self.n_enter_phase2 = self.n_struct + sum(1 for s in self.slack_col if s >= 0)
 
-        self.rows = []
-        for k in range(m):
-            row = rows_int[k] + [0] * (ncols - self.n_struct) + [rhs_int[k]]
-            if self.slack_col[k] >= 0:
-                row[self.slack_col[k]] = slack_signs[k]
-            if self.art_col[k] >= 0:
-                row[self.art_col[k]] = 1
-                basis[k] = self.art_col[k]
-            else:
-                basis[k] = self.slack_col[k]
-            self.rows.append(row)
-        self.basis = basis
+        # the starting basis is each row's artificial if it has one, else
+        # its slack; the -1 slacks of the other rows are the only nonbasic
+        # columns past the structural ones
+        self.basis = [a if a >= 0 else s for a, s in zip(self.art_col, self.slack_col)]
+        surplus = [k for k in range(m) if slack_signs[k] == -1]
+        self.nonbasic = list(range(self.n_struct)) + [self.slack_col[k] for k in surplus]
+        self.rows = [structural[k] + [-int(k == s) for s in surplus] + [rhs[k]]
+                     for k in range(m)]
         self.delta = 1
-        self.art_rows = art_rows
 
         # phase-2 reduced costs (internal minimization)
+        width = len(self.nonbasic) + 1
         if lp.objective is not None:
             nums, den = lp.objective
             sgn = -1 if lp.sense == MAX else 1
@@ -606,17 +661,12 @@ class _Simplex:
         else:
             self.obj_scale = 1
             obj2 = [0] * self.n_struct
-        self.obj2 = obj2 + [0] * (ncols + 1 - self.n_struct)
+        self.obj2 = obj2 + [0] * (width - self.n_struct)
 
-        # phase-1 reduced costs for the starting basis
-        obj1 = [0] * (ncols + 1)
-        for k in art_rows:
-            row = self.rows[k]
-            for j in range(ncols + 1):
-                if row[j]:
-                    obj1[j] -= row[j]
-            obj1[self.art_col[k]] += 1
-        self.obj1 = obj1 if art_rows else None
+        # phase-1 reduced costs for the starting basis: minus the sum of the
+        # rows whose basic column is an artificial
+        art_rows = [self.rows[k] for k in range(m) if self.art_col[k] >= 0]
+        self.obj1 = [-sum(col) for col in zip(*art_rows)] if art_rows else None
 
     def _structural(self, nums, sign):
         """``sign`` times a row's integers on the structural columns (the
@@ -631,18 +681,22 @@ class _Simplex:
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, r, c):
+    def _pivot(self, r, t):
+        """Exchange the basic column of row ``r`` with the nonbasic column
+        in slot ``t``; the leaving column takes over the slot."""
         prow = self.rows[r]
-        p = prow[c]
+        p = prow[t]
         d = self.delta
 
         def update(row):
-            f = row[c]
+            f = row[t]
             if f == 0:
                 if p == d:
                     return row
                 return [(p * v) // d for v in row]
-            return [(p * v - f * w) // d for v, w in zip(row, prow)]
+            row = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            row[t] = -f
+            return row
 
         for i in range(len(self.rows)):
             if i != r:
@@ -650,8 +704,9 @@ class _Simplex:
         self.obj2 = update(self.obj2)
         if self.obj1 is not None:
             self.obj1 = update(self.obj1)
+        prow[t] = d
         self.delta = p
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[t] = self.nonbasic[t], self.basis[r]
         if self.delta < 0:
             self.delta = -self.delta
             self.rows = [[-v for v in row] for row in self.rows]
@@ -661,13 +716,22 @@ class _Simplex:
 
     # -- phases -----------------------------------------------------------
 
+    def _entering(self, values, wanted):
+        """Bland's rule: the slot of the smallest-numbered column that may
+        enter and whose entry in the tableau row ``values`` is ``wanted``,
+        else -1."""
+        slot, best = -1, self.n_enter_phase2
+        for t, (col, v) in enumerate(zip(self.nonbasic, values)):
+            if col < best and wanted(v):
+                slot, best = t, col
+        return slot
+
     def _optimize(self, phase1):
         """Bland-rule pivots on the phase's reduced costs.  Returns -1 once
-        no reduced cost is negative, or the entering column that no row
-        bounds (the program is unbounded along it)."""
+        no reduced cost is negative, or the slot of the entering column that
+        no row bounds (the program is unbounded along it)."""
         for _ in range(_MAX_PIVOTS):
-            obj = self.obj1 if phase1 else self.obj2
-            enter = next((j for j in range(self.n_enter_phase2) if obj[j] < 0), -1)
+            enter = self._entering(self.obj1 if phase1 else self.obj2, lambda v: v < 0)
             if enter < 0:
                 return -1
             leave = -1
@@ -697,14 +761,14 @@ class _Simplex:
                 y = self._multipliers(self.obj1, phase1=True)
                 return Infeasible(tuple(v if rel == ">=" else -v
                                         for v, rel in zip(y, self.lp.relations)))
-            self._evict_artificials()
             self.obj1 = None
+            self._evict_artificials()
 
-        col = self._optimize(phase1=False)
+        slot = self._optimize(phase1=False)
         self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
-        if col >= 0:
-            ray = {c: -row[col] for c, row in zip(self.basis, self.rows)}
-            ray[col] = self.delta
+        if slot >= 0:
+            ray = {c: -row[slot] for c, row in zip(self.basis, self.rows)}
+            ray[self.nonbasic[slot]] = self.delta
             return Unbounded(self._variables(ray))
         if self.lp.objective is None:
             return Optimal(self.point, _ZERO)
@@ -716,15 +780,15 @@ class _Simplex:
 
     def _evict_artificials(self):
         """Pivot zero-level artificials out of the basis; drop redundant rows."""
-        art_set = set(self.art_col[k] for k in self.art_rows)
         r = 0
         while r < len(self.rows):
-            if self.basis[r] not in art_set:
+            if self.basis[r] < self.n_enter_phase2:
                 r += 1
                 continue
-            if self.rows[r][-1] != 0:
+            row = self.rows[r]
+            if row[-1] != 0:
                 raise InternalError("artificial variable stuck at a nonzero level")
-            enter = next((j for j in range(self.n_enter_phase2) if self.rows[r][j]), -1)
+            enter = self._entering(row, bool)
             if enter >= 0:
                 self._pivot(r, enter)
                 r += 1
@@ -749,16 +813,18 @@ class _Simplex:
     def _multipliers(self, obj, phase1):
         """One multiplier per program row, read off the reduced costs
         ``obj`` at the column that started as the row's unit column (its
-        artificial if it has one, else its slack): the artificial's phase-1
-        cost of 1 (0 otherwise) minus that reduced cost, times the row's
-        scale, all over ``self.delta``.  Rows outside the working set get
-        zero."""
+        artificial if it has one, else its slack; 0 while that column is
+        basic, or gone with its row): the artificial's phase-1 cost of 1
+        (0 otherwise) minus that reduced cost, times the row's scale, all
+        over ``self.delta``.  Rows outside the working set get zero."""
+        slot = {col: t for t, col in enumerate(self.nonbasic)}
         y = [_ZERO] * len(self.lp.rows)
         for k, i in enumerate(self.row_indices):
             art = self.art_col[k] >= 0
             col = self.art_col[k] if art else self.slack_col[k]
             cost = self.delta if phase1 and art else 0
-            y[i] = Fraction((cost - obj[col]) * self.scale[k], self.delta)
+            t = slot.get(col)
+            y[i] = Fraction((cost - (0 if t is None else obj[t])) * self.scale[k], self.delta)
         return y
 
 

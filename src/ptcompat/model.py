@@ -31,12 +31,19 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        exponent = _EXPONENT.search(value)
+        if limit and exponent and _reaches(exponent.group(1), limit):
+            # Fraction would build the power of ten first, at a cost that
+            # grows steeply with the exponent
+            raise InputError(f"rational {clip_repr(value)} has a decimal exponent past the "
+                             f"integer digit limit ({limit} digits)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, ValueError) and _rational_shape(value):
                 raise InputError(f"rational {clip_repr(value)} exceeds the integer digit "
-                                 f"limit ({sys.get_int_max_str_digits()} digits)") from exc
+                                 f"limit ({limit} digits)") from exc
             raise InputError(f"not a rational: {clip_repr(value)}") from exc
     raise InputError(f"not a rational: {clip_repr(value)}")
 
@@ -45,6 +52,19 @@ def clip_repr(value) -> str:
     """repr of a value for an error message, cut after 40 characters."""
     text = repr(value)
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+# the exponent of a decimal string such as "1.5e-3", as Fraction reads it
+# (a "num/den" string takes none)
+_EXPONENT = re.compile(r"\A[^/]*[eE][-+]?(\d[\d_]*)\s*\Z")
+
+
+def _reaches(digits: str, limit: int) -> bool:
+    """Is the decimal integer ``digits`` (underscores allowed) at least
+    ``limit``, so that a power of ten with it as exponent has more than
+    ``limit`` digits?  Decided without converting a long digit string."""
+    digits = digits.replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or 0) >= limit
 
 
 def _rational_shape(text: str) -> bool:
@@ -60,12 +80,8 @@ def vec(values) -> Vec:
     return tuple(frac(v) for v in values)
 
 
-def dot(a, b) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
+# the package's one exact dot product: one integer fraction, reduced once
+dot = lp._dot
 
 
 def _rank(vectors, dim) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import compat
 from .errors import InputError
-from .model import Effect, Observable, TheorySpace, frac
+from .model import Effect, Observable, TheorySpace, clip_repr, frac
 
 
 def rational_to_json(value: Fraction):
@@ -28,7 +28,7 @@ def rational_to_json(value: Fraction):
 
 def rational_from_json(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"rationals must be integers or 'num/den' strings, got {value!r}")
+        raise InputError(f"rationals must be integers or 'num/den' strings, got {clip_repr(value)}")
     return frac(value)
 
 
@@ -65,7 +65,7 @@ def theory_to_doc(theory: TheorySpace) -> dict:
 
 def _string(value, what):
     if not isinstance(value, str):
-        raise InputError(f"{what} must be a JSON string, got {value!r}")
+        raise InputError(f"{what} must be a JSON string, got {clip_repr(value)}")
     return value
 
 
@@ -73,7 +73,7 @@ def theory_from_doc(doc) -> TheorySpace:
     try:
         dim = doc["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
-            raise InputError(f"theory dim must be an integer, got {dim!r}")
+            raise InputError(f"theory dim must be an integer, got {clip_repr(dim)}")
         return TheorySpace(
             _string(doc["name"], "theory name"),
             dim,
@@ -97,13 +97,15 @@ def observable_from_doc(doc, theory: TheorySpace) -> Observable:
         name = _string(doc["theory"], "observable theory")
         outcomes = doc["outcomes"]
         if not isinstance(outcomes, list):
-            raise InputError(f"observable outcomes must be a list of labels, got {outcomes!r}")
+            raise InputError("observable outcomes must be a list of labels, "
+                             f"got {clip_repr(outcomes)}")
         outcomes = tuple(_string(s, "outcome label") for s in outcomes)
         effects = tuple(Effect(theory, _vector_from_json(e)) for e in doc["effects"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed observable document: {exc}") from exc
     if name != theory.name:
-        raise InputError(f"observable belongs to theory {name!r}, not {theory.name!r}")
+        raise InputError(f"observable belongs to theory {clip_repr(name)}, "
+                         f"not {clip_repr(theory.name)}")
     return Observable(theory, outcomes, effects)
 
 

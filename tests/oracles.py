@@ -7,7 +7,9 @@ interval arithmetic over per-vertex outcome tables, and the bisection
 oracle brackets the one-sided noise threshold through repeated
 feasibility queries instead of the single maximizing program.  The
 witness oracle checks a joint observable given as bare coefficient
-tuples against the definition of a noisy family.
+tuples against the definition of a noisy family, and the certificate
+oracle re-checks an LP outcome from the definitions with plain
+``Fraction`` sums, row by row and column by column.
 """
 
 from __future__ import annotations
@@ -160,3 +162,65 @@ def witness_marginals_ok(cells, observables, lambdas, vertices, unit):
         if sum(noise) != 1 - lam:
             return False
     return all(sum(c * x for c, x in zip(cell, v)) >= 0 for cell in cells for v in vertices)
+
+
+def _row_holds(lhs, rel, rhs):
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _feasible(prog, vec, homogeneous):
+    """Does ``vec`` keep the sign bounds and every row of ``prog`` (with
+    zero right sides when ``homogeneous``, as for a ray)?"""
+    if len(vec) != prog.num_vars:
+        return False
+    if any(nn and x < 0 for x, nn in zip(vec, prog.nonneg)):
+        return False
+    return all(_row_holds(sum((a * x for a, x in zip(row, vec)), ZERO), rel,
+                          ZERO if homogeneous else b)
+               for row, rel, b in zip(prog.rows, prog.relations, prog.rhs))
+
+
+def certificate_ok(prog, outcome):
+    """Is ``outcome`` (an ``Optimal``, ``Infeasible`` or ``Unbounded`` of
+    ``lp``, told apart by its fields) a valid certificate for ``prog``?
+    Written from the definitions in ``lp``'s module docstring."""
+    m, n = len(prog.rows), prog.num_vars
+    maximize = prog.sense == "max"
+    if hasattr(outcome, "farkas"):
+        y = outcome.farkas
+        if len(y) != m:
+            return False
+        if any(rel != "=" and v < 0 for v, rel in zip(y, prog.relations)):
+            return False
+        signed = [-v if rel == ">=" else v for v, rel in zip(y, prog.relations)]
+        combined = [sum((s * row[j] for s, row in zip(signed, prog.rows)), ZERO)
+                    for j in range(n)]
+        if any(r < 0 if nn else r != 0 for r, nn in zip(combined, prog.nonneg)):
+            return False
+        return sum((s * b for s, b in zip(signed, prog.rhs)), ZERO) < 0
+    if hasattr(outcome, "ray"):
+        d = outcome.ray
+        if prog.objective is None or not _feasible(prog, d, homogeneous=True):
+            return False
+        gain = sum((c * x for c, x in zip(prog.objective, d)), ZERO)
+        return gain > 0 if maximize else gain < 0
+    x, value, y = outcome.point, outcome.value, outcome.duals
+    if not _feasible(prog, x, homogeneous=False):
+        return False
+    if prog.objective is None:
+        return value == 0 and y is None
+    if value != sum((c * v for c, v in zip(prog.objective, x)), ZERO):
+        return False
+    if y is None or len(y) != m:
+        return False
+    # max: y >= 0 on <= rows, y <= 0 on >= rows, A^T y >= c on nonnegative
+    # variables and == c on free ones; min reverses every inequality
+    flip = 1 if maximize else -1
+    for v, rel in zip(y, prog.relations):
+        if (rel == "<=" and flip * v < 0) or (rel == ">=" and flip * v > 0):
+            return False
+    for j, (c, nn) in enumerate(zip(prog.objective, prog.nonneg)):
+        column = sum((v * row[j] for v, row in zip(y, prog.rows)), ZERO)
+        if column != c and (not nn or flip * (column - c) < 0):
+            return False
+    return sum((v * b for v, b in zip(y, prog.rhs)), ZERO) == value

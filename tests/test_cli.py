@@ -178,6 +178,22 @@ def test_oversized_rational_string_exits_2_with_a_short_message(tmp_path):
     assert "exceeds the integer digit limit" in lines[0]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", "9" * 5000, "theory dim must be an integer"),
+    ("name", list(range(3000)), "theory name must be a JSON string"),
+], ids=["dim", "name"])
+def test_malformed_theory_field_echo_is_clipped(tmp_path, field, value, message):
+    doc = serialize.theory_to_doc(catalog.square_gbit())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = invoke("theory", "show", str(bad))
+    assert res.exit_code == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, lines
+    assert message in lines[0]
+
+
 def test_theory_show_bloch_512_bytes_are_pinned():
     res = invoke("theory", "show", "bloch:512")
     assert res.exit_code == 0

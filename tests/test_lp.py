@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ptcompat import catalog, compat, lp
+from ptcompat import catalog, cli, compat, lp
 from ptcompat.errors import InputError
-from oracles import best_vertex_2var, witness_marginals_ok
+from oracles import best_vertex_2var, certificate_ok, witness_marginals_ok
 
 F = Fraction
 
@@ -165,19 +167,6 @@ def test_soundness_on_random_corpus():
     assert min(seen.values()) > 0, seen
 
 
-def _dual_certificate_ok(prog, value, duals):
-    """Full dual feasibility, written out for max; min flips every sign."""
-    sign = 1 if prog.sense == lp.MAX else -1
-    for y, rel in zip(duals, prog.relations):
-        if rel == "<=" and sign * y < 0 or rel == ">=" and sign * y > 0:
-            return False
-    for j, (c, nonneg) in enumerate(zip(prog.objective, prog.nonneg)):
-        column = sum(y * row[j] for y, row in zip(duals, prog.rows))
-        if column != c and (not nonneg or sign * (column - c) < 0):
-            return False
-    return sum(y * b for y, b in zip(duals, prog.rhs)) == value
-
-
 def test_duality_spot_check():
     rng = random.Random(777)
     checked = 0
@@ -187,7 +176,7 @@ def test_duality_spot_check():
         if not isinstance(out, lp.Optimal):
             continue
         assert len(out.duals) == len(prog.rows)
-        assert _dual_certificate_ok(prog, out.value, out.duals)
+        assert certificate_ok(prog, out)
         checked += 1
     assert checked > 50
 
@@ -254,6 +243,27 @@ def test_verify_rejects_tampered_farkas():
     assert not lp.verify(no_rows, lp.Infeasible(()))
 
 
+def test_verify_multiplies_out_mixed_denominators():
+    # maximize x/6 subject to x/3 <= 0: the dual 1/2 meets the coefficient
+    # 1/3.  Moved by -1/6 to 1/3, A^T y = 1/9 falls short of 1/6; read over
+    # the lcm 3 of the single denominators instead of 3 * 3, it would pass
+    cap = simple_lp([((F(1, 3),), "<=", 0)], objective=(F(1, 6),), sense=lp.MAX)
+    out = lp.solve(cap)
+    assert out.point == (F(0),) and out.duals == (F(1, 2),)
+    assert lp.verify(cap, out) and certificate_ok(cap, out)
+    low = lp.Optimal(out.point, out.value, (F(1, 2) - F(1, 6),))
+    assert not lp.verify(cap, low) and not certificate_ok(cap, low)
+    high = lp.Optimal(out.point, out.value, (F(1, 2) + F(1, 6),))  # 2/9 >= 1/6, b . y = 0
+    assert lp.verify(cap, high) and certificate_ok(cap, high)
+
+    # x >= 3 through the row x/3 >= 1, against x <= 2: weights 1/2 and 1/6
+    clash = simple_lp([((F(1, 3),), ">=", 1), ((1,), "<=", 2)])
+    good = lp.Infeasible((F(1, 2), F(1, 6)))
+    assert lp.verify(clash, good) and certificate_ok(clash, good)
+    tampered = lp.Infeasible((F(1, 2) + F(1, 6), F(1, 6)))
+    assert not lp.verify(clash, tampered) and not certificate_ok(clash, tampered)
+
+
 def test_verify_rejects_tampered_rays():
     # x, y, w >= 0 and z free: y - 2x <= 1, x - w >= 0, z - x = 0
     def ray_lp(objective, sense):
@@ -313,6 +323,41 @@ def test_lazy_path_matches_direct_value():
     assert isinstance(direct, lp.Optimal)
     direct_value = sum(c * x for c, x in zip(objective, direct.point))
     assert direct_value == out.value
+
+
+def test_pivot_sequence_is_pinned(monkeypatch):
+    # the (row, entering column) sequences that Bland's rule makes on the
+    # full tableau, and the bytes they lead to; a change of pricing, tie
+    # breaking or tableau layout moves them
+    pivots = []
+    pivot = lp._Simplex._pivot
+
+    def recorded(self, r, t):
+        pivots.append((r, self.nonbasic[t]))
+        pivot(self, r, t)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", recorded)
+    named = catalog.named_observables(catalog.bloch_polytope(32))
+    compat.region_boundary_scan([named["pauli-x"], named["pauli-y"]],
+                                compat.angular_directions(8))
+    assert len(pivots) == 230
+    assert digest(repr(pivots)) == (
+        "986c8d20620bc4aa07414b6ee73e80727986958819837a3ab95f5561a7e8e16b")
+    pivots.clear()
+    cube = catalog.named_observables(catalog.even_logic_cube())
+    compat.compat_index(cube["A"], cube["B"])
+    assert len(pivots) == 31
+    assert digest(repr(pivots)) == (
+        "e218a4ed6f15c0b6fed7e2acf7bb13208813bfa3d378334d21df2eaefd5428f6")
+
+    res = CliRunner().invoke(cli.main, ["region", "--theory", "bloch:32", "pauli-x", "pauli-y",
+                                        "--directions", "8"])
+    assert res.exit_code == 0
+    assert digest(res.stdout) == (
+        "4771e873d8077d6a7f1e0a65a1a0b914a897b12b8b2d935e4c1879aefaa10966")
 
 
 def test_lazy_infeasible_certificate_covers_full_rows():
@@ -547,3 +592,64 @@ def test_equivalent_programs_keep_status_and_value(transform, prog, data):
     assert lp.verify(changed, moved)
     if isinstance(out, lp.Optimal):
         assert out.value == moved.value
+
+
+# ---------------------------------------------------------------------------
+# verify against a plain-Fraction oracle
+
+
+coprime = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def coprime_programs(draw):
+    """Small programs whose entries have denominators 1, 2, 3, 5 or 7, so
+    that products of entries and multipliers need denominators that no
+    single entry has."""
+    n = draw(st.integers(1, 3))
+    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rows = [(tuple(draw(st.lists(coprime, min_size=n, max_size=n))),
+             draw(st.sampled_from(["<=", "=", ">="])), draw(coprime))
+            for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):  # a box makes optima common
+        for j in range(n):
+            unit = tuple(F(int(j == k)) for k in range(n))
+            rows.append((unit, "<=", F(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3])))))
+            if not nonneg[j]:
+                rows.append((unit, ">=", F(-draw(st.integers(1, 3)))))
+    sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
+    objective = None
+    if sense != lp.FEASIBILITY:
+        objective = tuple(draw(st.lists(coprime, min_size=n, max_size=n)))
+    return lp.LinearProgram.create(n, rows, objective=objective, sense=sense, nonneg=nonneg)
+
+
+def _perturbed(prog, out, data):
+    """``out`` with one entry of its certificate moved by a small rational;
+    a moved point keeps its value or takes its new ``c . x``."""
+    def bump(values):
+        values = list(values)
+        k = data.draw(st.integers(0, len(values) - 1))
+        values[k] += data.draw(coprime.filter(bool))
+        return tuple(values)
+
+    if isinstance(out, lp.Infeasible):
+        return lp.Infeasible(bump(out.farkas))
+    if isinstance(out, lp.Unbounded):
+        return lp.Unbounded(bump(out.ray))
+    if out.duals is not None and data.draw(st.booleans()):
+        return lp.Optimal(out.point, out.value, bump(out.duals))
+    point, value = bump(out.point), out.value
+    if prog.objective is not None and data.draw(st.booleans()):
+        value = sum(c * x for c, x in zip(prog.objective, point))
+    return lp.Optimal(point, value, out.duals)
+
+
+@EXAMPLES
+@given(coprime_programs(), st.data())
+def test_verify_agrees_with_the_fraction_oracle(prog, data):
+    out = lp.solve(prog)
+    assert certificate_ok(prog, out)
+    for _ in range(3):
+        moved = _perturbed(prog, out, data)
+        assert lp.verify(prog, moved) == certificate_ok(prog, moved)

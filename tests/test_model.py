@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,23 @@ def test_every_observable_yields_distributions_on_extremes():
             dist = model.apply(obs, vertex(t, i))
             assert sum(dist.probs) == 1
             assert all(p >= 0 for p in dist.probs)
+
+
+def test_frac_reads_decimal_exponents():
+    assert model.frac("1e3") == 1000
+    assert model.frac("1.5e-3") == F(3, 2000)
+    assert model.frac("25E-1_0") == F(25, 10 ** 10)
+    with pytest.raises(InputError, match="not a rational"):
+        model.frac("1/2e99999")  # a "num/den" string takes no exponent
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1E-1000000", "3.5e+1_000_000",
+                                  "1e" + "9" * 5000, f"1e{sys.get_int_max_str_digits()}"],
+                         ids=["large", "negative", "underscores", "long", "at-limit"])
+def test_frac_refuses_a_decimal_exponent_past_the_digit_limit(text):
+    # refused before the power of ten is built: 1e1000000 alone took a
+    # quarter of a second, and every further exponent digit costs ~36x more
+    with pytest.raises(InputError) as info:
+        model.frac(text)
+    message = str(info.value)
+    assert "decimal exponent" in message and len(message) < 200
