@@ -155,6 +155,11 @@ class EstimateResult:
 _SHARP = (_ONE, _ZERO)
 _INDEX_AXES = (_SHARP, (_ZERO, _ONE))
 
+# each cell of the outcome grid brings dim free variables and one row per
+# extreme point; a plain check of 64 cells on gbit-square takes about half
+# a minute on a 2-core host, and each further doubling is many times that
+MAX_GRID_CELLS = 64
+
 
 class _Grid:
     """A family of observables over one theory, and its outcome grid."""
@@ -167,6 +172,9 @@ class _Grid:
         for m in observables[1:]:
             if m.theory != theory:
                 raise InputError("observables belong to different theories")
+        if math.prod(len(m) for m in observables) > MAX_GRID_CELLS:
+            raise InputError(f"a family's outcome grid has at most {MAX_GRID_CELLS} cells "
+                             "(the product of the observables' outcome counts)")
         self.observables = observables
         self.theory = theory
         self.dim = theory.dim

@@ -66,21 +66,37 @@ taken in carry zero multipliers).
 
 Presolve
 --------
-Each row, right side last, and the objective are first written as
-integers over one positive denominator in lowest terms, which is the
-least common denominator of their entries.  This is the only encoding
-that the elimination, the row scan and the simplex read: the simplex
-tableau starts from these integers.  Free variables are then eliminated
-through equality rows before the simplex runs.  The equality rows are
-taken in index order; each one pivots on its first free variable with a
-nonzero coefficient, and an exact, fraction-free Gauss-Jordan step
-substitutes that variable into every other row and into the objective.
-Every row a step changes is brought back to lowest terms with a positive
-denominator.  The remaining rows keep their order over the remaining
-variables.  An equality row left without a free variable stays as a
-row.  All-zero rows need no special case: phase 1 drops a ``0 = 0`` row
-and refutes ``0 = b != 0``, and an all-zero inequality row that holds is
-never violated, so it is never taken in.
+Free variables are eliminated through equality rows before the simplex
+runs, in two stages.  The rows that remain, right side last, and the
+objective come out of them as integers over one positive denominator in
+lowest terms.  This is the only encoding that the row scan and the simplex
+read: the simplex tableau starts from these integers.
+
+1. Gauss-Jordan on the equality rows alone, each first written over the
+   least common denominator of its entries.  They are taken in index
+   order; each one pivots on its first free variable with a nonzero
+   coefficient, and an exact, fraction-free step substitutes that
+   variable into every other equality row, which is brought back to
+   lowest terms with a positive denominator.  A step reads only
+   equality rows, so the other rows can wait.  At the end each pivot
+   row ``R_v`` is nonzero on its variable ``v`` (entry ``p_v``) and zero
+   on every other eliminated variable.
+2. Every other row ``a``, equality rows left without a free variable
+   included, and the objective become ``a - sum_v a_v R_v / p_v`` in
+   one pass over the nonzeros of ``a``, in integers over the lcm of their
+   denominators (times ``|p_v|`` on an eliminated ``v``), and are
+   brought to lowest terms once.
+
+The result is the row that Gauss-Jordan steps into every row would
+leave.  That row is ``a`` plus a combination of the pivot rows that is
+zero on every eliminated variable; on those variables the ``R_v`` form a
+diagonal matrix, so the combination above is the only one.  Lowest terms
+over a positive denominator are unique, so the integers agree too.  The
+remaining rows keep their order over the remaining variables, and the
+objective drops the constant that the substitution leaves in its last
+place.  All-zero rows need no special case: phase 1 drops a ``0 = 0``
+row and refutes ``0 = b != 0``, and an all-zero inequality row that
+holds is never violated, so it is never taken in.
 
 Results are mapped back onto the original program:
 
@@ -377,11 +393,12 @@ class _Elimination:
         self.lp = lp
         self.pivots = []  # (row, variable) in elimination order
         n = lp.num_vars
-        # each row, right side last, as integers over one common denominator
-        rows = [_integer_row((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
-        objective = None if lp.objective is None else _integer_row((*lp.objective, _ZERO))
         free = [j for j, nn in enumerate(lp.nonneg) if not nn]
         equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
+
+        # stage 1: Gauss-Jordan on the equality rows alone, each as integers
+        # over one common denominator, right side last
+        rows = {i: _integer_row((*lp.rows[i], lp.rhs[i])) for i in equalities}
         # the combination of original rows that each equality row has become
         combos = {i: {i: _ONE} for i in equalities}
         for i in equalities:
@@ -392,41 +409,52 @@ class _Elimination:
             free.remove(v)
             p = nums[v]
             support = [(j, a) for j, a in enumerate(nums) if a]
-            for k, (other, other_den) in enumerate(rows):
+            for k, (other, other_den) in rows.items():
                 f = other[v]
                 if not f or k == i:
                     continue
-                combo = combos.get(k)
-                if combo is not None:
-                    ratio = Fraction(f * den, other_den * p)  # row k's v over row i's
-                    for l, t in combos[i].items():
-                        combo[l] = combo.get(l, _ZERO) - ratio * t
+                ratio = Fraction(f * den, other_den * p)  # row k's v over row i's
+                combo = combos[k]
+                for l, t in combos[i].items():
+                    combo[l] = combo.get(l, _ZERO) - ratio * t
                 rows[k] = _eliminate(other, other_den, p, f, support)
-            if objective is not None and objective[0][v]:
-                objective = _eliminate(*objective, p, objective[0][v], support)
             self.pivots.append((i, v))
 
         gone = {v for _, v in self.pivots}
         pivot_rows = {i for i, _ in self.pivots}
-        self.kept_vars = [j for j in range(n) if j not in gone]
-        self.kept_rows = [i for i in range(len(rows)) if i not in pivot_rows]
+        self.kept_vars = kept = [j for j in range(n) if j not in gone]
+        self.kept_rows = [i for i in range(len(lp.rows)) if i not in pivot_rows]
         # each eliminated row scaled to 1 on its variable, with its combination
         self.solved = {}
         for i, v in self.pivots:
             nums, den = rows[i]
             self.solved[i] = ([Fraction(a, nums[v]) if a else _ZERO for a in nums],
                               {l: t * den / nums[v] for l, t in combos[i].items()})
-        kept = self.kept_vars
-        # the kept rows are zero on every eliminated variable, so dropping
-        # those columns keeps them in lowest terms; the objective also drops
-        # the constant that the substitutions left in its last place
+
+        # stage 2: every other row and the objective in one substitution.
+        # With place[j] = (p, sparse), an entry c in column j adds c/p times
+        # the (position, integer) list sparse over the kept columns and the
+        # right side: a kept column adds itself, and an eliminated variable v
+        # adds -R_v/p_v, so that a - sum_v a_v R_v / p_v comes out
+        columns = (*kept, n)
+        place = [None] * (n + 1)
+        for k, j in enumerate(columns):
+            place[j] = (1, [(k, 1)])
+        for i, v in self.pivots:
+            nums = rows[i][0]
+            place[v] = (nums[v], [(k, -nums[j]) for k, j in enumerate(columns) if nums[j]])
+        objective = None
+        if lp.objective is not None:
+            # drop the constant that the substitution left in the last place
+            nums, den = _substitute((*lp.objective, _ZERO), place, len(columns))
+            objective = _lowest(nums[:-1], den)
         self.reduced = _Program(
             len(kept),
             tuple(lp.nonneg[j] for j in kept),
-            tuple(([rows[i][0][j] for j in kept] + [rows[i][0][n]], rows[i][1])
+            tuple(_lowest(*_substitute((*lp.rows[i], lp.rhs[i]), place, len(columns)))
                   for i in self.kept_rows),
             tuple(lp.relations[i] for i in self.kept_rows),
-            None if objective is None else _lowest([objective[0][j] for j in kept], objective[1]),
+            objective,
             lp.sense,
         )
 
@@ -501,6 +529,30 @@ def _lowest(nums, den):
         nums = [a // g for a in nums]
         den //= g
     return nums, den
+
+
+def _substitute(values, place, width):
+    """The rationals ``values`` carried over to ``width`` positions as
+    integers over one positive denominator, not yet in lowest terms: each
+    nonzero ``c`` at column j with ``place[j] = (p, sparse)`` adds
+    ``c/p * r`` at position k for every ``(k, r)`` in ``sparse``.  The
+    denominator is the lcm of the ``c.denominator * p``, so every weight
+    is an integer."""
+    terms = []
+    den = 1
+    for j, c in enumerate(values):
+        if c:
+            p, sparse = place[j]
+            d = c.denominator * p
+            terms.append((c.numerator, d, sparse))
+            if den % d:
+                den = lcm(den, d)
+    out = [0] * width
+    for a, d, sparse in terms:
+        w = a * (den // d)
+        for k, r in sparse:
+            out[k] += w * r
+    return out, den
 
 
 def _eliminate(nums, den, p, f, support):

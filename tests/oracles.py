@@ -9,12 +9,16 @@ feasibility queries instead of the single maximizing program.  The
 witness oracle checks a joint observable given as bare coefficient
 tuples against the definition of a noisy family, and the certificate
 oracle re-checks an LP outcome from the definitions with plain
-``Fraction`` sums, row by row and column by column.
+``Fraction`` sums, row by row and column by column.  The elimination
+oracle runs the presolve's Gauss-Jordan steps in plain ``Fraction``
+arithmetic into every row, where the solver substitutes into the rows
+that are not equalities only once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -224,3 +228,55 @@ def certificate_ok(prog, outcome):
         if column != c and (not nn or flip * (column - c) < 0):
             return False
     return sum((v * b for v, b in zip(y, prog.rhs)), ZERO) == value
+
+
+def _integers(values):
+    """Rationals as integers over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def reduce_program(prog):
+    """The presolve of ``ptcompat.lp`` by dense Gauss-Jordan in plain
+    ``Fraction`` arithmetic: equality rows in index order, each pivoting
+    on its first free variable with a nonzero coefficient, and each step
+    clearing that variable from every other row and from the objective.
+
+    Returns ``(reduced, pivots, kept_vars, kept_rows)``, where ``reduced``
+    is ``(num_vars, nonneg, rows, relations, objective, sense)`` over the
+    kept variables, each row (right side last) and the objective as
+    integers over their least common denominator.
+    """
+    n = prog.num_vars
+    rows = [list(row) + [b] for row, b in zip(prog.rows, prog.rhs)]
+    objective = None if prog.objective is None else list(prog.objective) + [ZERO]
+    free = [j for j in range(n) if not prog.nonneg[j]]
+    pivots = []
+    for i, rel in enumerate(prog.relations):
+        if rel != "=":
+            continue
+        v = next((j for j in free if rows[i][j] != 0), None)
+        if v is None:
+            continue
+        free.remove(v)
+        pivot = rows[i]
+        for k in range(len(rows)):
+            if k != i and rows[k][v] != 0:
+                f = rows[k][v] / pivot[v]
+                rows[k] = [a - f * b for a, b in zip(rows[k], pivot)]
+        if objective is not None and objective[v] != 0:
+            f = objective[v] / pivot[v]
+            objective = [a - f * b for a, b in zip(objective, pivot)]
+        pivots.append((i, v))
+    gone = {v for _, v in pivots}
+    kept_vars = [j for j in range(n) if j not in gone]
+    kept_rows = [i for i in range(len(rows)) if i not in {i for i, _ in pivots}]
+    reduced = (
+        len(kept_vars),
+        tuple(prog.nonneg[j] for j in kept_vars),
+        tuple(_integers([rows[i][j] for j in kept_vars] + [rows[i][n]]) for i in kept_rows),
+        tuple(prog.relations[i] for i in kept_rows),
+        None if objective is None else _integers([objective[j] for j in kept_vars]),
+        prog.sense,
+    )
+    return reduced, pivots, kept_vars, kept_rows

@@ -214,6 +214,21 @@ def test_size_limits_exit_2(args):
     assert "at most" in res.stderr
 
 
+def test_grid_size_limit_exit_2(monkeypatch):
+    # small synthetic limits around the 4 cells of X Y
+    def unbuilt(*args):
+        raise AssertionError("a refused family must not be built")
+
+    monkeypatch.setattr(compat, "MAX_GRID_CELLS", 4)
+    assert invoke("check", "--theory", "gbit-square", "X", "Y").exit_code == 0
+    monkeypatch.setattr(compat, "MAX_GRID_CELLS", 3)
+    monkeypatch.setattr(compat, "_family_program", unbuilt)
+    for command in ("check", "index", "interval", "region"):
+        res = invoke(command, "--theory", "gbit-square", "X", "Y")
+        assert res.exit_code == 2
+        assert "outcome grid has at most 3 cells" in res.stderr
+
+
 def test_theory_dim_must_be_a_json_integer(tmp_path):
     theory = catalog.square_gbit()
     obs = catalog.square_gbit_observables(theory)

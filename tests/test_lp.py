@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, cli, compat, lp
 from ptcompat.errors import InputError
-from oracles import best_vertex_2var, certificate_ok, witness_marginals_ok
+from oracles import best_vertex_2var, certificate_ok, reduce_program, witness_marginals_ok
 
 F = Fraction
 
@@ -360,6 +360,28 @@ def test_pivot_sequence_is_pinned(monkeypatch):
         "4771e873d8077d6a7f1e0a65a1a0b914a897b12b8b2d935e4c1879aefaa10966")
 
 
+def test_reduced_programs_are_pinned():
+    # the presolve's integers on three family programs, as the dense
+    # Gauss-Jordan into every row left them
+    def reduced(prog):
+        return repr(lp._Elimination(prog).reduced)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    ball = catalog.named_observables(catalog.bloch_polytope(32))
+    scans = "".join(reduced(compat.build_scan_lp([ball["pauli-x"], ball["pauli-y"]], w))
+                    for w in compat.angular_directions(8))
+    assert digest(scans) == (
+        "bf6cc6cc422d9dba016a0ac4db7a59d2ece3ddc386de6f15be5ac79a31cc454c")
+    cube = catalog.named_observables(catalog.even_logic_cube())
+    assert digest(reduced(compat.build_index_lp(cube["A"], cube["B"]))) == (
+        "a467658d941156297ad0ff1c03f09f78323e44f97e8b8f2725b92837df487c5d")
+    square = catalog.named_observables(catalog.square_gbit())
+    assert digest(reduced(compat.build_joint_lp([square["X"], square["Y"]]))) == (
+        "3d4f8b8afc60a2e0d0ed340a587616ccd31482a92480e2beb256ce8083173560")
+
+
 def test_lazy_infeasible_certificate_covers_full_rows():
     n = 3
     rows = [((F(1), F(1), F(1)), ">=", F(10))]
@@ -653,3 +675,50 @@ def test_verify_agrees_with_the_fraction_oracle(prog, data):
     for _ in range(3):
         moved = _perturbed(prog, out, data)
         assert lp.verify(prog, moved) == certificate_ok(prog, moved)
+
+
+# ---------------------------------------------------------------------------
+# the elimination against a dense plain-Fraction Gauss-Jordan
+
+
+@st.composite
+def elimination_programs(draw):
+    """Programs with free and nonnegative variables and mixed
+    denominators, whose rows may be combinations of earlier rows, zero on
+    every free variable or zero throughout, with or without an
+    objective."""
+    n = draw(st.integers(1, 5))
+    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["plain", "combination", "no free", "zero"]))
+        rel = draw(st.sampled_from(["=", "=", "<=", ">="]))
+        b = draw(coprime)
+        if kind == "combination" and rows:
+            (a1, _, b1), (a2, _, b2) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(coprime), draw(coprime)
+            coeffs = tuple(f * x + g * y for x, y in zip(a1, a2))
+            b = f * b1 + g * b2
+        elif kind == "no free":
+            coeffs = tuple(draw(coprime) if nn else F(0) for nn in nonneg)
+        elif kind == "zero":
+            coeffs = (F(0),) * n
+        else:
+            coeffs = tuple(draw(st.lists(coprime, min_size=n, max_size=n)))
+        rows.append((coeffs, rel, b))
+    sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
+    objective = None
+    if sense != lp.FEASIBILITY:
+        objective = tuple(draw(st.lists(coprime, min_size=n, max_size=n)))
+    return lp.LinearProgram.create(n, rows, objective=objective, sense=sense, nonneg=nonneg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(elimination_programs())
+def test_elimination_matches_the_dense_oracle(prog):
+    elimination = lp._Elimination(prog)
+    reduced, pivots, kept_vars, kept_rows = reduce_program(prog)
+    assert tuple(elimination.reduced) == reduced
+    assert elimination.pivots == pivots
+    assert elimination.kept_vars == kept_vars
+    assert elimination.kept_rows == kept_rows
