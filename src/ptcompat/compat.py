@@ -219,33 +219,28 @@ def _family_program(grid, axes) -> lp.LinearProgram:
     """
     noise, scale, n = grid.layout(axes)
     unit = grid.theory.unit
-    rows = []
+    rows = []  # each row as {column: value} over its nonzero entries
     for k, (m, (a, b)) in enumerate(zip(grid.observables, axes)):
         for j, effect in enumerate(m.effects):
-            group = [c for c in grid.cells if c[k] == j]
+            group = [grid.var(c, 0) for c in grid.cells if c[k] == j]
             for r, mr in enumerate(effect.coeffs):
-                coeffs = [_ZERO] * n
-                for cell in group:
-                    coeffs[grid.var(cell, r)] = _ONE
-                if noise[k] is not None:
+                coeffs = {first + r: _ONE for first in group}
+                if noise[k] is not None and unit[r]:
                     coeffs[noise[k] + j] = -unit[r]
-                if b:
+                if b and mr:
                     coeffs[scale] = -b * mr
                 rows.append((coeffs, "=", a * mr))
     for m, (a, b), first in zip(grid.observables, axes, noise):
         if first is not None:
-            coeffs = [_ZERO] * n
-            coeffs[first:first + len(m)] = [_ONE] * len(m)
+            coeffs = {first + j: _ONE for j in range(len(m))}
             if b:
                 coeffs[scale] = b
             rows.append((coeffs, "=", 1 - a))
     for point in grid.theory.extreme_points:
+        support = [(r, xr) for r, xr in enumerate(point) if xr]
         for cell in grid.cells:
-            coeffs = [_ZERO] * n
-            for r, xr in enumerate(point):
-                if xr:
-                    coeffs[grid.var(cell, r)] = xr
-            rows.append((coeffs, ">=", _ZERO))
+            first = grid.var(cell, 0)
+            rows.append(({first + r: xr for r, xr in support}, ">=", _ZERO))
     objective = None
     if scale is not None:
         objective = [_ZERO] * n

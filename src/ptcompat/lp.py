@@ -53,10 +53,16 @@ Internally the tableau is condensed and held as integers over one common
 positive denominator: it keeps one column per nonbasic variable, right
 side last, with a map from each slot to its original column number, and
 a pivot exchanges the entering column with the leaving basic one by a
-fraction-free (Bareiss) step whose divisions are exact.  Bland's rule
-reads the original column numbers, so the pivots are exactly those of
-the full tableau.  This is only a faster encoding of the same rationals
-and the interface stays Fraction end to end.  Every program is solved by
+fraction-free (Bareiss) step whose divisions are exact.  A free variable
+is two columns, ``x+`` and ``x- = -x+``, and one slot stores both: while
+both are nonbasic the other half's column is the negated slot, and while
+one is basic the other's column is ``-delta`` in that row and 0
+elsewhere, with reduced cost 0, so it can never enter and is not stored.
+Entering the other half of a slot negates the slot and relabels it.
+Bland's rule reads the original column numbers and offers each half of
+a slot with its own sign, so the pivots are exactly those of the full
+tableau.  This is only a faster encoding of the same rationals and the
+interface stays Fraction end to end.  Every program is solved by
 row generation: the simplex first runs on the equality rows alone, and
 each round adds the inequality rows that its point (or ray) violates
 most, ties broken by row index, until no row is violated.  So the rows
@@ -66,6 +72,13 @@ taken in carry zero multipliers).
 
 Presolve
 --------
+A program keeps its rows dense, as given, and a sparse view of them:
+the ``(column, value)`` pairs of each row's nonzero entries.  ``create``
+fills the view as it builds the rows, and a program made otherwise (by
+``dataclasses.replace``, say) derives it from its own rows on first use,
+so the two never disagree.  The presolve, the restoring of results and
+``verify`` read the view, so they visit only the entries that can matter.
+
 Free variables are eliminated through equality rows before the simplex
 runs, in two stages.  The rows that remain, right side last, and the
 objective come out of them as integers over one positive denominator in
@@ -77,7 +90,9 @@ read: the simplex tableau starts from these integers.
    order; each one pivots on its first free variable with a nonzero
    coefficient, and an exact, fraction-free step substitutes that
    variable into every other equality row, which is brought back to
-   lowest terms with a positive denominator.  A step reads only
+   lowest terms with a positive denominator.  The combination of
+   original rows that each equality row has become is kept alongside,
+   as integer weights over one positive denominator.  A step reads only
    equality rows, so the other rows can wait.  At the end each pivot
    row ``R_v`` is nonzero on its variable ``v`` (entry ``p_v``) and zero
    on every other eliminated variable.
@@ -117,8 +132,11 @@ solves may run concurrently.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -136,7 +154,6 @@ _LAZY_BATCH = 24
 _MAX_PIVOTS = 5_000_000
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -175,26 +192,59 @@ class LinearProgram:
     def create(cls, num_vars, constraints, objective=None, sense=None, nonneg=True):
         """Normalizing constructor.
 
-        ``constraints`` is an iterable of ``(coeffs, relation, rhs)``;
+        ``constraints`` is an iterable of ``(coeffs, relation, rhs)``, where
+        ``coeffs`` is either a sequence of ``num_vars`` entries or a mapping
+        ``{column: value}`` that lists some of the columns (0-based) and
+        leaves the others zero; both forms give the same program.
         ``nonneg`` is a single bool applied to all variables or one bool
-        per variable.  Numeric entries may be ints, Fractions, or
-        strings like ``"2/3"``; Fractions are kept as they are.
+        per variable.  Numeric entries may be ints, Fractions, or strings
+        like ``"2/3"``; Fractions are kept as they are.
         """
         if isinstance(nonneg, bool):
             bounds = (nonneg,) * num_vars
         else:
             bounds = tuple(bool(b) for b in nonneg)
         rows = []
+        nonzeros = []
         rels = []
         rhs = []
         for coeffs, rel, b in constraints:
-            rows.append(tuple(map(_rational, coeffs)))
+            if isinstance(coeffs, Mapping):
+                entries = []
+                for j, c in coeffs.items():
+                    if not (isinstance(j, int) and 0 <= j < num_vars):
+                        raise InputError(f"constraint column {j!r} is not one of the "
+                                         f"{num_vars} variables")
+                    c = _rational(c)
+                    if c:
+                        entries.append((j, c))
+                entries.sort()
+                row = [_ZERO] * num_vars
+                for j, c in entries:
+                    row[j] = c
+                rows.append(tuple(row))
+                nonzeros.append(tuple(entries))
+            else:
+                row = tuple(map(_rational, coeffs))
+                rows.append(row)
+                nonzeros.append(tuple((j, c) for j, c in enumerate(row) if c))
             rels.append(rel)
             rhs.append(_rational(b))
         obj = None if objective is None else tuple(map(_rational, objective))
         if sense is None:
             sense = FEASIBILITY if obj is None else MAX
-        return cls(num_vars, bounds, tuple(rows), tuple(rels), tuple(rhs), obj, sense)
+        program = cls(num_vars, bounds, tuple(rows), tuple(rels), tuple(rhs), obj, sense)
+        # the rows' own nonzeros, so the view need not be derived again
+        program.__dict__["_nonzeros"] = tuple(nonzeros)
+        return program
+
+    @cached_property
+    def _nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The ``(column, value)`` pairs of each row's nonzero entries, in
+        column order: the sparse view of ``rows`` that the solver and the
+        checks read.  Not a field, so a copy made by
+        ``dataclasses.replace`` derives it from its own rows."""
+        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.rows)
 
 
 def _rational(c):
@@ -265,25 +315,24 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
 def _satisfies(lp, vec, rhs):
     """Whether ``vec`` has one entry per variable, keeps the sign bounds
     and satisfies every row with ``rhs`` as its right sides.  With ``vec``
-    as integers ``x`` over ``D``, a row is checked on its terms where both
-    factors are nonzero, scaled by the lcm ``L`` of their denominators and
-    its right side's: ``sum (a*L) x  REL  (b*L) D``."""
+    as integers ``x`` over ``D``, a row is checked on its nonzero terms
+    where ``x`` is nonzero too, scaled by the lcm ``L`` of their
+    denominators and its right side's: ``sum (a*L) x  REL  (b*L) D``."""
     if len(vec) != lp.num_vars:
         return False
     for x, nn in zip(vec, lp.nonneg):
         if nn and x < 0:
             return False
     den = lcm(*(x.denominator for x in vec))
-    support = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(vec) if x]
-    for row, rel, b in zip(lp.rows, lp.relations, rhs):
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    for nonzeros, rel, b in zip(lp._nonzeros, lp.relations, rhs):
         scale = b.denominator
         terms = []
-        for j, x in support:
-            a = row[j]
-            n = a.numerator
-            if n:
+        for j, a in nonzeros:
+            x = ints[j]
+            if x:
                 d = a.denominator
-                terms.append((n, d, x))
+                terms.append((a.numerator, d, x))
                 if scale % d:
                     scale = lcm(scale, d)
         lhs = sum(n * (scale // d) * x for n, d, x in terms)
@@ -310,20 +359,19 @@ def _dual_bound(lp, y, c):
     would not do: the denominator of a product ``y_i a_ij`` need not
     divide it.)"""
     used = []
-    for v, row, rel, b in zip(y, lp.rows, lp.relations, lp.rhs):
+    for v, nonzeros, rel, b in zip(y, lp._nonzeros, lp.relations, lp.rhs):
         if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
             return None
         if v:
-            used.append((v, row, b))
+            used.append((v, nonzeros, b))
     y_den = lcm(*(v.denominator for v, _, _ in used))
     encoded = []
     rows_den = 1
-    for v, row, b in used:
-        sparse = [(j, a.numerator, a.denominator) for j, a in enumerate(row) if a]
-        scale = lcm(b.denominator, *(d for _, _, d in sparse))
+    for v, nonzeros, b in used:
+        scale = lcm(b.denominator, *(a.denominator for _, a in nonzeros))
         rows_den = lcm(rows_den, scale)
         encoded.append((v.numerator * (y_den // v.denominator), scale,
-                        [(j, n * (scale // d)) for j, n, d in sparse],
+                        [(j, a.numerator * (scale // a.denominator)) for j, a in nonzeros],
                         b.numerator * (scale // b.denominator)))
     combined = [0] * lp.num_vars
     bound = 0
@@ -395,12 +443,15 @@ class _Elimination:
         n = lp.num_vars
         free = [j for j, nn in enumerate(lp.nonneg) if not nn]
         equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
+        nonzeros = lp._nonzeros
 
         # stage 1: Gauss-Jordan on the equality rows alone, each as integers
         # over one common denominator, right side last
-        rows = {i: _integer_row((*lp.rows[i], lp.rhs[i])) for i in equalities}
-        # the combination of original rows that each equality row has become
-        combos = {i: {i: _ONE} for i in equalities}
+        rows = {i: _integer_nonzeros(_with_rhs(nonzeros[i], lp.rhs[i], n), n + 1)
+                for i in equalities}
+        # the combination of original rows that each equality row has become,
+        # as integer weights over one positive denominator
+        combos = {i: ({i: 1}, 1) for i in equalities}
         for i in equalities:
             nums, den = rows[i]
             v = next((j for j in free if nums[j]), None)
@@ -413,10 +464,8 @@ class _Elimination:
                 f = other[v]
                 if not f or k == i:
                     continue
-                ratio = Fraction(f * den, other_den * p)  # row k's v over row i's
-                combo = combos[k]
-                for l, t in combos[i].items():
-                    combo[l] = combo.get(l, _ZERO) - ratio * t
+                # row k minus f*den / (other_den*p) times row i
+                combos[k] = _combine(combos[k], other_den * p, combos[i], f * den)
                 rows[k] = _eliminate(other, other_den, p, f, support)
             self.pivots.append((i, v))
 
@@ -424,12 +473,13 @@ class _Elimination:
         pivot_rows = {i for i, _ in self.pivots}
         self.kept_vars = kept = [j for j in range(n) if j not in gone]
         self.kept_rows = [i for i in range(len(lp.rows)) if i not in pivot_rows]
-        # each eliminated row scaled to 1 on its variable, with its combination
+        # each eliminated row R = nums/den, the combination of original rows
+        # that gives it, and the factor den/nums[v] that scales it to 1 on v
         self.solved = {}
         for i, v in self.pivots:
             nums, den = rows[i]
-            self.solved[i] = ([Fraction(a, nums[v]) if a else _ZERO for a in nums],
-                              {l: t * den / nums[v] for l, t in combos[i].items()})
+            weights, weights_den = combos[i]
+            self.solved[i] = (nums, weights, Fraction(den, weights_den * nums[v]))
 
         # stage 2: every other row and the objective in one substitution.
         # With place[j] = (p, sparse), an entry c in column j adds c/p times
@@ -445,13 +495,15 @@ class _Elimination:
             place[v] = (nums[v], [(k, -nums[j]) for k, j in enumerate(columns) if nums[j]])
         objective = None
         if lp.objective is not None:
-            # drop the constant that the substitution left in the last place
-            nums, den = _substitute((*lp.objective, _ZERO), place, len(columns))
+            # an objective has no right side, so the last place stays 0
+            nums, den = _substitute([(j, c) for j, c in enumerate(lp.objective) if c],
+                                    place, len(columns))
             objective = _lowest(nums[:-1], den)
         self.reduced = _Program(
             len(kept),
             tuple(lp.nonneg[j] for j in kept),
-            tuple(_lowest(*_substitute((*lp.rows[i], lp.rhs[i]), place, len(columns)))
+            tuple(_lowest(*_substitute(_with_rhs(nonzeros[i], lp.rhs[i], n), place,
+                                       len(columns)))
                   for i in self.kept_rows),
             tuple(lp.relations[i] for i in self.kept_rows),
             objective,
@@ -475,17 +527,21 @@ class _Elimination:
         return Unbounded(self._lift(outcome.ray, homogeneous=True))
 
     def _lift(self, values, homogeneous):
-        """Fill in each eliminated variable from its (normalized) row."""
+        """Fill in each eliminated variable from its row, in integers: with
+        the kept values as ``X/D``, ``x_v = (b*D - sum_j a_j X_j) / (p*D)``
+        (``b`` left out for a ray)."""
         x = [_ZERO] * self.lp.num_vars
         for j, value in zip(self.kept_vars, values):
             x[j] = value
+        den = lcm(*(value.denominator for value in values))
+        support = [(j, value.numerator * (den // value.denominator))
+                   for j, value in zip(self.kept_vars, values) if value]
         for i, v in self.pivots:
-            row = self.solved[i][0]
-            total = _ZERO if homogeneous else row[-1]
-            for j in self.kept_vars:
-                if row[j] and x[j]:
-                    total -= row[j] * x[j]
-            x[v] = total
+            nums = self.solved[i][0]
+            total = 0 if homogeneous else nums[-1] * den
+            for j, a in support:
+                total -= nums[j] * a
+            x[v] = Fraction(total, nums[v] * den)
         return tuple(x)
 
     def _multipliers(self, reduced, target, signed):
@@ -496,21 +552,60 @@ class _Elimination:
         ``>=`` row enters negated."""
         lp = self.lp
         y = [_ZERO] * len(lp.rows)
-        active = []
+        # what the eliminated rows must still add on each eliminated variable
+        missing = {v: _ZERO if target is None else target[v] for _, v in self.pivots}
         for i, value in zip(self.kept_rows, reduced):
             if value:
                 y[i] = value
-                active.append((lp.rows[i], -value if signed and lp.relations[i] == ">=" else value))
+                weight = -value if signed and lp.relations[i] == ">=" else value
+                for j, a in lp._nonzeros[i]:
+                    if j in missing:
+                        missing[j] -= weight * a
         for i, v in self.pivots:
             # the final row i is 1 on v and 0 on every other eliminated variable
-            z = _ZERO if target is None else target[v]
-            for row, weight in active:
-                if row[v]:
-                    z -= weight * row[v]
+            z = missing[v]
             if z:
-                for l, t in self.solved[i][1].items():
+                _, weights, factor = self.solved[i]
+                z *= factor
+                for l, t in weights.items():
                     y[l] += z * t
         return tuple(y)
+
+
+def _integer_nonzeros(nonzeros, width):
+    """The ``(column, rational)`` pairs as a dense list of ``width``
+    integers over their least common denominator, which is the positive
+    denominator that puts them in lowest terms."""
+    den = lcm(*(c.denominator for _, c in nonzeros))
+    nums = [0] * width
+    for j, c in nonzeros:
+        nums[j] = c.numerator * (den // c.denominator)
+    return nums, den
+
+
+def _with_rhs(nonzeros, b, column):
+    """A row's nonzeros with its right side ``b`` appended at ``column``."""
+    return (*nonzeros, (column, b)) if b else nonzeros
+
+
+def _combine(first, u, second, w):
+    """The combination ``first - (w/u) * second`` of two weightings, each a
+    ``({row: integer}, positive denominator)`` pair, in lowest terms."""
+    weights, den = first
+    other, other_den = second
+    scale = u * other_den
+    out = {l: t * scale for l, t in weights.items()}
+    factor = w * den
+    for l, t in other.items():
+        out[l] = out.get(l, 0) - factor * t
+    den *= scale
+    g = gcd(den, *out.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        out = {l: t // g for l, t in out.items()}
+        den //= g
+    return out, den
 
 
 def _integer_row(values):
@@ -531,22 +626,21 @@ def _lowest(nums, den):
     return nums, den
 
 
-def _substitute(values, place, width):
-    """The rationals ``values`` carried over to ``width`` positions as
-    integers over one positive denominator, not yet in lowest terms: each
-    nonzero ``c`` at column j with ``place[j] = (p, sparse)`` adds
+def _substitute(nonzeros, place, width):
+    """The nonzero ``(column, rational)`` pairs carried over to ``width``
+    positions as integers over one positive denominator, not yet in lowest
+    terms: each ``c`` at column j with ``place[j] = (p, sparse)`` adds
     ``c/p * r`` at position k for every ``(k, r)`` in ``sparse``.  The
     denominator is the lcm of the ``c.denominator * p``, so every weight
     is an integer."""
     terms = []
     den = 1
-    for j, c in enumerate(values):
-        if c:
-            p, sparse = place[j]
-            d = c.denominator * p
-            terms.append((c.numerator, d, sparse))
-            if den % d:
-                den = lcm(den, d)
+    for j, c in nonzeros:
+        p, sparse = place[j]
+        d = c.denominator * p
+        terms.append((c.numerator, d, sparse))
+        if den % d:
+            den = lcm(den, d)
     out = [0] * width
     for a, d, sparse in terms:
         w = a * (den // d)
@@ -620,8 +714,8 @@ class _ScanCache:
             gap = sum(a * nums[j] for j, a in sparse)
             if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0):
                 found.append((Fraction(abs(gap), row_den * den), i))
-        found.sort(key=lambda t: (-t[0], t[1]))
-        return [i for _, i in found[:_LAZY_BATCH]]
+        most = heapq.nsmallest(_LAZY_BATCH, found, key=lambda t: (-t[0], t[1]))
+        return [i for _, i in most]
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +725,23 @@ class _ScanCache:
 class _Simplex:
     """Two-phase simplex on a subset of rows, over scaled integers.
 
-    The tableau is condensed: ``self.rows`` holds one entry per nonbasic
-    column, in the order of ``self.nonbasic`` (original column numbers),
-    and the right side last; a basic column is implicit, ``self.delta``
-    in its own row and 0 elsewhere, the reduced costs included.  The
-    entries divided by ``self.delta`` (kept positive) are the exact
-    rational tableau.  Pivots use the integer-preserving exchange
-    ``t' = (p*t - f*s) / delta_previous``, whose division is exact, so no
-    rounding can occur anywhere.
+    The tableau is condensed: ``self.rows`` holds one entry per stored
+    nonbasic column, in the order of ``self.nonbasic`` (original column
+    numbers), and the right side last; a basic column is implicit,
+    ``self.delta`` in its own row and 0 elsewhere, the reduced costs
+    included.  The entries divided by ``self.delta`` (kept positive) are
+    the exact rational tableau.  Pivots use the integer-preserving
+    exchange ``t' = (p*t - f*s) / delta_previous``, whose division is
+    exact, so no rounding can occur anywhere.
+
+    A free variable is the pair of columns ``x+`` and ``x- = -x+``, and
+    every tableau keeps that relation, so one slot serves both.  While
+    both halves are nonbasic, the slot holds the column of the half it is
+    labelled with and the other half's column is its negation.  While one
+    half is basic, the other's column is ``-self.delta`` in that row and 0
+    elsewhere, with reduced cost 0; it can never enter, so it is not
+    stored.  A slot labelled with a half of a free variable therefore
+    always stands for both halves.
     """
 
     def __init__(self, lp, row_indices):
@@ -646,8 +749,9 @@ class _Simplex:
         self.row_indices = list(row_indices)
 
         # structural columns: one per nonnegative variable, a (+,-) pair
-        # per free variable
+        # per free variable, each half the other's twin
         self.var_cols = []
+        self.twin = {}
         ncols = 0
         for nn in lp.nonneg:
             if nn:
@@ -655,8 +759,10 @@ class _Simplex:
                 ncols += 1
             else:
                 self.var_cols.append((ncols, ncols + 1))
+                self.twin[ncols], self.twin[ncols + 1] = ncols + 1, ncols
                 ncols += 2
         self.n_struct = ncols
+        n = lp.num_vars
 
         m = len(self.row_indices)
         self.slack_col = [-1] * m
@@ -679,7 +785,7 @@ class _Simplex:
                 flip = 1 if b >= 0 else -1
                 slack_sign = 0
             self.scale[k] = flip * den
-            structural.append(self._structural(nums, flip))
+            structural.append([flip * a for a in nums[:n]])
             rhs.append(flip * b)
             slack_signs.append(slack_sign)
 
@@ -694,11 +800,12 @@ class _Simplex:
         self.n_enter_phase2 = self.n_struct + sum(1 for s in self.slack_col if s >= 0)
 
         # the starting basis is each row's artificial if it has one, else
-        # its slack; the -1 slacks of the other rows are the only nonbasic
-        # columns past the structural ones
+        # its slack; the structural columns start nonbasic, one slot per
+        # variable, and the -1 slacks of the other rows are the only
+        # nonbasic columns past them
         self.basis = [a if a >= 0 else s for a, s in zip(self.art_col, self.slack_col)]
         surplus = [k for k in range(m) if slack_signs[k] == -1]
-        self.nonbasic = list(range(self.n_struct)) + [self.slack_col[k] for k in surplus]
+        self.nonbasic = [cols[0] for cols in self.var_cols] + [self.slack_col[k] for k in surplus]
         self.rows = [structural[k] + [-int(k == s) for s in surplus] + [rhs[k]]
                      for k in range(m)]
         self.delta = 1
@@ -709,27 +816,16 @@ class _Simplex:
             nums, den = lp.objective
             sgn = -1 if lp.sense == MAX else 1
             self.obj_scale = sgn * den
-            obj2 = self._structural(nums, sgn)
+            obj2 = [sgn * a for a in nums]
         else:
             self.obj_scale = 1
-            obj2 = [0] * self.n_struct
-        self.obj2 = obj2 + [0] * (width - self.n_struct)
+            obj2 = [0] * n
+        self.obj2 = obj2 + [0] * (width - n)
 
         # phase-1 reduced costs for the starting basis: minus the sum of the
         # rows whose basic column is an artificial
         art_rows = [self.rows[k] for k in range(m) if self.art_col[k] >= 0]
         self.obj1 = [-sum(col) for col in zip(*art_rows)] if art_rows else None
-
-    def _structural(self, nums, sign):
-        """``sign`` times a row's integers on the structural columns (the
-        right side, if any, is left out)."""
-        row = [0] * self.n_struct
-        for cols, a in zip(self.var_cols, nums):
-            if a:
-                row[cols[0]] = sign * a
-                if len(cols) == 2:
-                    row[cols[1]] = -sign * a
-        return row
 
     # -- pivoting ---------------------------------------------------------
 
@@ -771,11 +867,25 @@ class _Simplex:
     def _entering(self, values, wanted):
         """Bland's rule: the slot of the smallest-numbered column that may
         enter and whose entry in the tableau row ``values`` is ``wanted``,
-        else -1."""
+        else -1.  A slot that stands for both halves of a free variable
+        offers its label with the entry ``v`` and the twin with ``-v``; when
+        the twin is chosen, the slot is negated and relabelled with it, so
+        that it holds the entering column."""
         slot, best = -1, self.n_enter_phase2
+        twin = self.twin
         for t, (col, v) in enumerate(zip(self.nonbasic, values)):
             if col < best and wanted(v):
                 slot, best = t, col
+            other = twin.get(col)
+            if other is not None and other < best and wanted(-v):
+                slot, best = t, other
+        if slot >= 0 and self.nonbasic[slot] != best:
+            self.nonbasic[slot] = best
+            for row in self.rows:
+                row[slot] = -row[slot]
+            self.obj2[slot] = -self.obj2[slot]
+            if self.obj1 is not None:
+                self.obj1[slot] = -self.obj1[slot]
         return slot
 
     def _optimize(self, phase1):
@@ -810,9 +920,7 @@ class _Simplex:
             if self._optimize(phase1=True) >= 0:
                 raise InternalError("phase-1 objective cannot be unbounded")
             if self.obj1[-1] < 0:  # minimum of artificial sum is positive
-                y = self._multipliers(self.obj1, phase1=True)
-                return Infeasible(tuple(v if rel == ">=" else -v
-                                        for v, rel in zip(y, self.lp.relations)))
+                return Infeasible(self._multipliers(self.obj1, phase1=True))
             self.obj1 = None
             self._evict_artificials()
 
@@ -825,10 +933,8 @@ class _Simplex:
         if self.lp.objective is None:
             return Optimal(self.point, _ZERO)
         nums, den = self.lp.objective
-        y = self._multipliers(self.obj2, phase1=False)
-        # the zeros of rows off the working set need no division
         return Optimal(self.point, _dot(nums, self.point) / den,
-                       tuple(v and v / self.obj_scale for v in y))
+                       self._multipliers(self.obj2, phase1=False))
 
     def _evict_artificials(self):
         """Pivot zero-level artificials out of the basis; drop redundant rows."""
@@ -868,16 +974,23 @@ class _Simplex:
         artificial if it has one, else its slack; 0 while that column is
         basic, or gone with its row): the artificial's phase-1 cost of 1
         (0 otherwise) minus that reduced cost, times the row's scale, all
-        over ``self.delta``.  Rows outside the working set get zero."""
+        over ``self.delta``.  Phase 1 gives the Farkas multipliers, negated
+        on every row that is not ``>=``; phase 2 gives the duals, divided
+        by the objective's scale.  Rows outside the working set get zero."""
         slot = {col: t for t, col in enumerate(self.nonbasic)}
-        y = [_ZERO] * len(self.lp.rows)
+        relations = self.lp.relations
+        y = [_ZERO] * len(relations)
         for k, i in enumerate(self.row_indices):
             art = self.art_col[k] >= 0
             col = self.art_col[k] if art else self.slack_col[k]
             cost = self.delta if phase1 and art else 0
             t = slot.get(col)
-            y[i] = Fraction((cost - (0 if t is None else obj[t])) * self.scale[k], self.delta)
-        return y
+            if phase1:
+                den = self.delta if relations[i] == ">=" else -self.delta
+            else:
+                den = self.delta * self.obj_scale
+            y[i] = Fraction((cost - (0 if t is None else obj[t])) * self.scale[k], den)
+        return tuple(y)
 
 
 # ---------------------------------------------------------------------------

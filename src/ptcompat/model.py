@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import lp
 from .errors import HullRejection, InputError
@@ -133,6 +134,12 @@ class TheorySpace:
     def make(cls, name, dim, extreme_points, unit) -> "TheorySpace":
         return cls(str(name), int(dim), tuple(vec(x) for x in extreme_points), vec(unit))
 
+    @cached_property
+    def _integer_points(self) -> tuple[tuple[list[int], int], ...]:
+        """Each extreme point as integers over its own least common
+        denominator, computed once per theory for the effect checks."""
+        return tuple(lp._integer_row(x) for x in self.extreme_points)
+
 
 @dataclass(frozen=True)
 class State:
@@ -151,11 +158,15 @@ class Effect:
     coeffs: Vec
 
     def __post_init__(self):
+        """Checks 0 <= e.x <= 1 at every extreme point in integers: with
+        ``e`` as ``n/E`` and ``x`` as ``X/D``, ``0 <= n.X <= E*D``."""
         if len(self.coeffs) != self.theory.dim:
             raise InputError("effect coefficient vector has wrong length")
-        for x in self.theory.extreme_points:
-            v = dot(self.coeffs, x)
-            if v < 0 or v > 1:
+        nums, den = lp._integer_row(self.coeffs)
+        support = [(r, a) for r, a in enumerate(nums) if a]
+        for point, point_den in self.theory._integer_points:
+            v = sum(a * point[r] for r, a in support)
+            if v < 0 or v > den * point_den:
                 raise InputError("effect leaves [0, 1] on an extreme point")
 
     def value(self, state) -> Fraction:

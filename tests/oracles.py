@@ -12,7 +12,9 @@ oracle re-checks an LP outcome from the definitions with plain
 ``Fraction`` sums, row by row and column by column.  The elimination
 oracle runs the presolve's Gauss-Jordan steps in plain ``Fraction``
 arithmetic into every row, where the solver substitutes into the rows
-that are not equalities only once, at the end.
+that are not equalities only once, at the end.  The simplex oracle keeps
+both columns ``x+`` and ``x- = -x+`` of every free variable in its
+tableau, where the solver stores one slot per free variable.
 """
 
 from __future__ import annotations
@@ -280,3 +282,205 @@ def reduce_program(prog):
         prog.sense,
     )
     return reduced, pivots, kept_vars, kept_rows
+
+
+class TwoColumnSimplex:
+    """The two-phase Bland's-rule simplex of ``ptcompat.lp`` with both
+    structural columns of every free variable kept in the condensed
+    integer tableau, where the solver stores one.  Takes the same reduced
+    program (rows as ``(nums, den)``, right side last) and row subset;
+    ``pivots`` records each pivot as (row, entering original column), and
+    ``run`` returns ``("Optimal", point, value, duals)``,
+    ``("Infeasible", farkas)`` or ``("Unbounded", ray)``, with ``point``
+    set as the solver sets it."""
+
+    def __init__(self, lp, row_indices):
+        self.lp = lp
+        self.row_indices = list(row_indices)
+        self.pivots = []
+        self.var_cols = []
+        ncols = 0
+        for nn in lp.nonneg:
+            if nn:
+                self.var_cols.append((ncols,))
+                ncols += 1
+            else:
+                self.var_cols.append((ncols, ncols + 1))
+                ncols += 2
+        self.n_struct = ncols
+
+        m = len(self.row_indices)
+        self.slack_col = [-1] * m
+        self.art_col = [-1] * m
+        self.scale = [0] * m
+        structural, rhs, slack_signs = [], [], []
+        for k, i in enumerate(self.row_indices):
+            nums, den = lp.rows[i]
+            rel = lp.relations[i]
+            b = nums[-1]
+            if rel == "<=":
+                flip = 1 if b >= 0 else -1
+                slack_sign = flip
+            elif rel == ">=":
+                flip = -1 if b <= 0 else 1
+                slack_sign = -flip
+            else:
+                flip = 1 if b >= 0 else -1
+                slack_sign = 0
+            self.scale[k] = flip * den
+            structural.append(self._structural(nums, flip))
+            rhs.append(flip * b)
+            slack_signs.append(slack_sign)
+        for k in range(m):
+            if slack_signs[k] != 0:
+                self.slack_col[k] = ncols
+                ncols += 1
+        for k in range(m):
+            if slack_signs[k] != 1:
+                self.art_col[k] = ncols
+                ncols += 1
+        self.n_enter_phase2 = self.n_struct + sum(1 for s in self.slack_col if s >= 0)
+
+        self.basis = [a if a >= 0 else s for a, s in zip(self.art_col, self.slack_col)]
+        surplus = [k for k in range(m) if slack_signs[k] == -1]
+        self.nonbasic = list(range(self.n_struct)) + [self.slack_col[k] for k in surplus]
+        self.rows = [structural[k] + [-int(k == s) for s in surplus] + [rhs[k]]
+                     for k in range(m)]
+        self.delta = 1
+
+        width = len(self.nonbasic) + 1
+        if lp.objective is not None:
+            nums, den = lp.objective
+            sgn = -1 if lp.sense == "max" else 1
+            self.obj_scale = sgn * den
+            obj2 = self._structural(nums, sgn)
+        else:
+            self.obj_scale = 1
+            obj2 = [0] * self.n_struct
+        self.obj2 = obj2 + [0] * (width - self.n_struct)
+        art_rows = [self.rows[k] for k in range(m) if self.art_col[k] >= 0]
+        self.obj1 = [-sum(col) for col in zip(*art_rows)] if art_rows else None
+
+    def _structural(self, nums, sign):
+        row = [0] * self.n_struct
+        for cols, a in zip(self.var_cols, nums):
+            if a:
+                row[cols[0]] = sign * a
+                if len(cols) == 2:
+                    row[cols[1]] = -sign * a
+        return row
+
+    def _pivot(self, r, t):
+        self.pivots.append((r, self.nonbasic[t]))
+        prow = self.rows[r]
+        p = prow[t]
+        d = self.delta
+
+        def update(row):
+            f = row[t]
+            if f == 0:
+                return row if p == d else [(p * v) // d for v in row]
+            row = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            row[t] = -f
+            return row
+
+        for i in range(len(self.rows)):
+            if i != r:
+                self.rows[i] = update(self.rows[i])
+        self.obj2 = update(self.obj2)
+        if self.obj1 is not None:
+            self.obj1 = update(self.obj1)
+        prow[t] = d
+        self.delta = p
+        self.basis[r], self.nonbasic[t] = self.nonbasic[t], self.basis[r]
+        if self.delta < 0:
+            self.delta = -self.delta
+            self.rows = [[-v for v in row] for row in self.rows]
+            self.obj2 = [-v for v in self.obj2]
+            if self.obj1 is not None:
+                self.obj1 = [-v for v in self.obj1]
+
+    def _entering(self, values, wanted):
+        slot, best = -1, self.n_enter_phase2
+        for t, (col, v) in enumerate(zip(self.nonbasic, values)):
+            if col < best and wanted(v):
+                slot, best = t, col
+        return slot
+
+    def _optimize(self, phase1):
+        while True:
+            enter = self._entering(self.obj1 if phase1 else self.obj2, lambda v: v < 0)
+            if enter < 0:
+                return -1
+            leave, lv_num, lv_den = -1, 0, 0
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                b = row[-1]
+                if leave < 0 or b * lv_den < lv_num * a or (
+                        b * lv_den == lv_num * a and self.basis[i] < self.basis[leave]):
+                    leave, lv_num, lv_den = i, b, a
+            if leave < 0:
+                return enter
+            self._pivot(leave, enter)
+
+    def run(self):
+        if self.obj1 is not None:
+            if self._optimize(phase1=True) >= 0:
+                raise AssertionError("phase-1 objective cannot be unbounded")
+            if self.obj1[-1] < 0:
+                y = self._multipliers(self.obj1, phase1=True)
+                return ("Infeasible", tuple(v if rel == ">=" else -v
+                                            for v, rel in zip(y, self.lp.relations)))
+            self.obj1 = None
+            self._evict_artificials()
+        slot = self._optimize(phase1=False)
+        self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
+        if slot >= 0:
+            ray = {c: -row[slot] for c, row in zip(self.basis, self.rows)}
+            ray[self.nonbasic[slot]] = self.delta
+            return ("Unbounded", self._variables(ray))
+        if self.lp.objective is None:
+            return ("Optimal", self.point, ZERO, None)
+        nums, den = self.lp.objective
+        y = self._multipliers(self.obj2, phase1=False)
+        value = sum((Fraction(a, den) * x for a, x in zip(nums, self.point)), ZERO)
+        return ("Optimal", self.point, value, tuple(v / self.obj_scale for v in y))
+
+    def _evict_artificials(self):
+        r = 0
+        while r < len(self.rows):
+            if self.basis[r] < self.n_enter_phase2:
+                r += 1
+                continue
+            row = self.rows[r]
+            if row[-1] != 0:
+                raise AssertionError("artificial variable stuck at a nonzero level")
+            enter = self._entering(row, bool)
+            if enter >= 0:
+                self._pivot(r, enter)
+                r += 1
+            else:
+                del self.rows[r]
+                del self.basis[r]
+
+    def _variables(self, columns):
+        values = []
+        for cols in self.var_cols:
+            x = columns.get(cols[0], 0)
+            if len(cols) == 2:
+                x -= columns.get(cols[1], 0)
+            values.append(Fraction(x, self.delta))
+        return tuple(values)
+
+    def _multipliers(self, obj, phase1):
+        slot = {col: t for t, col in enumerate(self.nonbasic)}
+        y = [ZERO] * len(self.lp.rows)
+        for k, i in enumerate(self.row_indices):
+            art = self.art_col[k] >= 0
+            col = self.art_col[k] if art else self.slack_col[k]
+            cost = self.delta if phase1 and art else 0
+            t = slot.get(col)
+            y[i] = Fraction((cost - (0 if t is None else obj[t])) * self.scale[k], self.delta)
+        return y

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, cli, compat, lp
 from ptcompat.errors import InputError
-from oracles import best_vertex_2var, certificate_ok, reduce_program, witness_marginals_ok
+from oracles import (TwoColumnSimplex, best_vertex_2var, certificate_ok, reduce_program,
+                     witness_marginals_ok)
 
 F = Fraction
 
@@ -722,3 +724,114 @@ def test_elimination_matches_the_dense_oracle(prog):
     assert elimination.pivots == pivots
     assert elimination.kept_vars == kept_vars
     assert elimination.kept_rows == kept_rows
+
+
+# ---------------------------------------------------------------------------
+# rows given as {column: value} mappings, and the sparse view
+
+
+@st.composite
+def rows_in_both_forms(draw):
+    """A program's arguments to ``create`` with dense rows, and the same
+    rows as mappings: nonzero entries in any order, some zeros listed."""
+    n = draw(st.integers(1, 5))
+    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    dense, mapped = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = tuple(draw(st.lists(coprime, min_size=n, max_size=n)))
+        rel, b = draw(st.sampled_from(["<=", "=", ">="])), draw(coprime)
+        listed = [j for j, c in enumerate(coeffs) if c or draw(st.booleans())]
+        listed = draw(st.permutations(listed))
+        dense.append((coeffs, rel, b))
+        mapped.append(({j: coeffs[j] for j in listed}, rel, b))
+    sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
+    objective = None
+    if sense != lp.FEASIBILITY:
+        objective = tuple(draw(st.lists(coprime, min_size=n, max_size=n)))
+    return n, dense, mapped, dict(objective=objective, sense=sense, nonneg=nonneg)
+
+
+@EXAMPLES
+@given(rows_in_both_forms())
+def test_mapping_rows_give_the_same_program(case):
+    n, dense, mapped, options = case
+    prog = lp.LinearProgram.create(n, dense, **options)
+    same = lp.LinearProgram.create(n, mapped, **options)
+    assert same == prog
+    assert lp.lp_to_text(same) == lp.lp_to_text(prog)
+    # the view create filled is the one a copy derives from its dense rows
+    assert same._nonzeros == prog._nonzeros == dataclasses.replace(same)._nonzeros
+    out, again = lp.solve(prog), lp.solve(same)
+    assert out == again
+    if isinstance(out, lp.Optimal):
+        assert out.duals == again.duals
+
+
+def test_mapping_rows_refuse_columns_outside_the_program():
+    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}):
+        with pytest.raises(InputError):
+            lp.LinearProgram.create(2, [(coeffs, "<=", 1)])
+
+
+def test_verify_reads_the_rows_of_a_replaced_copy():
+    prog = lp.LinearProgram.create(2, [({0: 1, 1: 1}, "<=", 4)], objective=(1, 1))
+    out = lp.solve(prog)
+    assert out.value == 4 and lp.verify(prog, out)
+    tighter = dataclasses.replace(prog, rows=((F(2), F(2)),))
+    assert tighter._nonzeros == (((0, F(2)), (1, F(2))),)
+    assert not lp.verify(tighter, out)  # 2x + 2y = 8 > 4
+    assert lp.verify(dataclasses.replace(tighter, rows=prog.rows), out)
+
+
+# ---------------------------------------------------------------------------
+# one stored column per free variable, against the two-column simplex
+
+
+@st.composite
+def reduced_programs(draw):
+    """Programs in the solver's reduced form, many of whose variables are
+    free, with a subset of their rows as the working set."""
+    n = draw(st.integers(1, 5))
+    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rows, relations = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        nums = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+        rows.append((nums, draw(st.integers(1, 3))))
+        relations.append(draw(st.sampled_from(["<=", "=", ">="])))
+    sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
+    objective = None
+    if sense != lp.FEASIBILITY:
+        objective = (draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                     draw(st.integers(1, 3)))
+    working = sorted(draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+    return lp._Program(n, nonneg, tuple(rows), tuple(relations), objective, sense), working
+
+
+class _RecordedSimplex(lp._Simplex):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pivots = []
+
+    def _pivot(self, r, t):
+        self.pivots.append((r, self.nonbasic[t]))
+        super()._pivot(r, t)
+
+
+def _as_tuple(out):
+    if isinstance(out, lp.Optimal):
+        return ("Optimal", out.point, out.value, out.duals)
+    if isinstance(out, lp.Infeasible):
+        return ("Infeasible", out.farkas)
+    return ("Unbounded", out.ray)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reduced_programs())
+def test_folded_free_columns_pivot_like_the_two_column_simplex(case):
+    prog, working = case
+    simplex, reference = _RecordedSimplex(prog, working), TwoColumnSimplex(prog, working)
+    out = _as_tuple(simplex.run())
+    assert out == reference.run()
+    assert simplex.pivots == reference.pivots
+    if out[0] != "Infeasible":
+        assert simplex.point == reference.point

@@ -214,6 +214,31 @@ def test_distribution_and_effect_invariants():
         model.Effect(t, (F(2), F(0)))
 
 
+def test_effect_check_is_exact_at_a_40_bit_vertex():
+    # the check runs in integers over each vertex's own denominator; a
+    # miss by 2^-80 at the one vertex with a 40-bit denominator is refused
+    p = F(2**39 + 5, 2**40 - 87)
+    t = model.TheorySpace.make("wide", 2, [(1, 0), (1, p)], (1, 0))
+    eps = F(1, 2**80)
+    model.Effect(t, (F(0), 1 / p))  # exactly 1 there
+    model.Effect(t, (F(0), (1 - eps) / p))
+    for coeffs in [(F(0), (1 + eps) / p), (-eps, 1 / p), (eps, 1 / p), (F(0), -eps / p)]:
+        with pytest.raises(InputError):
+            model.Effect(t, coeffs)
+    # the same verdict as the definition, 0 <= e.x <= 1 in Fractions
+    rng = random.Random(7)
+    for _ in range(200):
+        coeffs = (F(rng.randint(-2, 2), 2**rng.randint(78, 82)),
+                  (rng.choice([0, 1]) + F(rng.randint(-2, 2), 2**rng.randint(78, 82))) / p)
+        inside = all(0 <= model.dot(coeffs, x) <= 1 for x in t.extreme_points)
+        try:
+            model.Effect(t, coeffs)
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == inside
+
+
 def test_every_observable_yields_distributions_on_extremes():
     t = three_cube()
     rng = random.Random(11)
