@@ -58,23 +58,23 @@ def square_gbit() -> TheorySpace:
     return TheorySpace.make("gbit-square", 3, points, (1, 0, 0))
 
 
+def _dichotomy(theory: TheorySpace, labels, plus) -> Observable:
+    """The two-outcome observable with effects ``plus`` and ``unit - plus``."""
+    minus = tuple(u - c for u, c in zip(theory.unit, plus))
+    return Observable(theory, labels, (Effect(theory, tuple(plus)), Effect(theory, minus)))
+
+
 def square_gbit_observables(theory: TheorySpace) -> dict[str, Observable]:
     """Coordinate readers X, Y and the two diagonal readers D1, D2."""
     if theory.dim != 3 or theory.unit != (1, 0, 0):
         raise InputError("expected the square state space")
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-
-    def dichotomy(plus):
-        minus = tuple(u - c for u, c in zip(theory.unit, plus))
-        return Observable(theory, ("+", "-"),
-                          (Effect(theory, plus), Effect(theory, minus)))
-
     return {
-        "X": dichotomy((half, half, _ZERO)),
-        "Y": dichotomy((half, _ZERO, half)),
-        "D1": dichotomy((half, quarter, quarter)),
-        "D2": dichotomy((half, quarter, -quarter)),
+        "X": _dichotomy(theory, ("+", "-"), (half, half, _ZERO)),
+        "Y": _dichotomy(theory, ("+", "-"), (half, _ZERO, half)),
+        "D1": _dichotomy(theory, ("+", "-"), (half, quarter, quarter)),
+        "D2": _dichotomy(theory, ("+", "-"), (half, quarter, -quarter)),
     }
 
 
@@ -113,12 +113,7 @@ def even_logic_observables(theory: TheorySpace) -> dict[str, Observable]:
     for name, coord in (("A", 1), ("B", 2), ("C", 3)):
         plus = [_ZERO] * 4
         plus[coord] = _ONE
-        minus = tuple(u - c for u, c in zip(theory.unit, plus))
-        out[name] = Observable(
-            theory,
-            (name.lower(), name.lower() + "'"),
-            (Effect(theory, tuple(plus)), Effect(theory, minus)),
-        )
+        out[name] = _dichotomy(theory, (name.lower(), name.lower() + "'"), plus)
     return out
 
 
@@ -225,9 +220,7 @@ def noisy_pauli_observables(theory: TheorySpace) -> tuple[Observable, Observable
     def reader(coord):
         plus = [half, _ZERO, _ZERO, _ZERO]
         plus[coord] = half
-        minus = tuple(u - c for u, c in zip(theory.unit, plus))
-        return Observable(theory, ("+", "-"),
-                          (Effect(theory, tuple(plus)), Effect(theory, minus)))
+        return _dichotomy(theory, ("+", "-"), plus)
 
     return reader(1), reader(2)
 
@@ -254,10 +247,7 @@ def random_observable(theory: TheorySpace, outcomes: int, seed: int) -> Observab
                          f"boundary-touching observable with {outcomes} outcomes")
     rng = random.Random(seed)
     if outcomes == 2:
-        f = _boundary_touching(theory, rng)
-        complement = tuple(u - c for u, c in zip(theory.unit, f))
-        return Observable(theory, labels,
-                          (Effect(theory, f), Effect(theory, complement)))
+        return _dichotomy(theory, labels, _boundary_touching(theory, rng))
     effects = []
     remaining = list(theory.unit)
     for _ in range(outcomes - 1):

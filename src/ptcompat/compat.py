@@ -254,6 +254,7 @@ class _Witness(NamedTuple):
     scale: Fraction  # s, or 0 when the program has none
     sharpness: tuple[Fraction, ...]  # a_k + b_k*s per axis
     noises: tuple[Distribution | None, ...]  # None at sharpness 1
+    marginals: tuple[list[tuple[Fraction, ...]], ...]  # checked effect coefficients per axis
 
 
 def _family_witness(grid, axes, point) -> _Witness:
@@ -267,7 +268,7 @@ def _family_witness(grid, axes, point) -> _Witness:
     joint = JointObservable(grid.theory, tuple(m.outcomes for m in grid.observables), effects)
     s = _ZERO if scale is None else point[scale]
     unit = grid.theory.unit
-    sharpness, noises = [], []
+    sharpness, noises, marginals = [], [], []
     for k, (m, (a, b), first) in enumerate(zip(grid.observables, axes, noise)):
         lam = a + b * s
         t = (_ZERO,) * len(m) if first is None else point[first:first + len(m)]
@@ -277,7 +278,8 @@ def _family_witness(grid, axes, point) -> _Witness:
             raise InternalError("joint witness fails exact marginal equality")
         sharpness.append(lam)
         noises.append(Distribution(tuple(tj / (1 - lam) for tj in t)) if lam < 1 else None)
-    return _Witness(joint, s, tuple(sharpness), tuple(noises))
+        marginals.append(expected)
+    return _Witness(joint, s, tuple(sharpness), tuple(noises), tuple(marginals))
 
 
 def _solve_family(grid, axes):
@@ -329,7 +331,10 @@ def compat_index(first: Observable, second: Observable) -> IndexResult:
     closed segment [0, lambda_star].
     """
     w = _solve_family(_Grid([first, second]), _INDEX_AXES)
-    return IndexResult(w.sharpness[1], w.noises[1], w.joint, marginal(w.joint, 1))
+    theory = second.theory
+    partner = Observable(theory, second.outcomes,
+                         tuple(Effect(theory, c) for c in w.marginals[1]))
+    return IndexResult(w.sharpness[1], w.noises[1], w.joint, partner)
 
 
 def compat_interval(first: Observable, second: Observable) -> tuple[Fraction, Fraction]:

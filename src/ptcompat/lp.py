@@ -72,12 +72,12 @@ taken in carry zero multipliers).
 
 Presolve
 --------
-A program keeps its rows dense, as given, and a sparse view of them:
-the ``(column, value)`` pairs of each row's nonzero entries.  ``create``
-fills the view as it builds the rows, and a program made otherwise (by
-``dataclasses.replace``, say) derives it from its own rows on first use,
-so the two never disagree.  The presolve, the restoring of results and
-``verify`` read the view, so they visit only the entries that can matter.
+A program stores each row once, as the ``(column, value)`` pairs of its
+nonzero entries in increasing column order (``entries``).  The dense
+``rows`` are derived from them on each read, for dumps and for checks
+made outside the package.  The presolve, the restoring of results and
+``verify`` read the pairs, so they visit only the entries that can
+matter and never build a dense row.
 
 Free variables are eliminated through equality rows before the simplex
 runs, in two stages.  The rows that remain, right side last, and the
@@ -136,7 +136,6 @@ import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -160,22 +159,29 @@ _ZERO = Fraction(0)
 class LinearProgram:
     num_vars: int
     nonneg: tuple[bool, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[tuple[int, Fraction], ...], ...]
     relations: tuple[str, ...]
     rhs: tuple[Fraction, ...]
     objective: tuple[Fraction, ...] | None
     sense: str
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        n = self.num_vars
+        if n < 1:
             raise InputError("a linear program needs at least one variable")
-        if len(self.nonneg) != self.num_vars:
+        if len(self.nonneg) != n:
             raise InputError("bounds list does not match the variable count")
-        if not (len(self.rows) == len(self.relations) == len(self.rhs)):
+        if not (len(self.entries) == len(self.relations) == len(self.rhs)):
             raise InputError("constraint lists have mismatched lengths")
-        for row in self.rows:
-            if len(row) != self.num_vars:
-                raise InputError("constraint row has wrong length")
+        for row in self.entries:
+            last = -1
+            for j, c in row:
+                if not (isinstance(j, int) and last < j < n):
+                    raise InputError(f"constraint column {j!r} is out of order or not one "
+                                     f"of the {n} variables")
+                if not c:
+                    raise InputError(f"constraint column {j} holds a zero entry")
+                last = j
         for rel in self.relations:
             if rel not in RELATIONS:
                 raise InputError(f"unknown relation {rel!r}")
@@ -183,9 +189,9 @@ class LinearProgram:
             raise InputError(f"unknown objective sense {self.sense!r}")
         if (self.objective is None) != (self.sense == FEASIBILITY):
             raise InputError("objective row must be present iff sense is not feasibility")
-        if self.objective is not None and len(self.objective) != self.num_vars:
+        if self.objective is not None and len(self.objective) != n:
             raise InputError("objective row has wrong length")
-        if not self.rows and self.objective is None:
+        if not self.entries and self.objective is None:
             raise InputError("program has neither constraints nor objective")
 
     @classmethod
@@ -204,47 +210,34 @@ class LinearProgram:
             bounds = (nonneg,) * num_vars
         else:
             bounds = tuple(bool(b) for b in nonneg)
-        rows = []
-        nonzeros = []
-        rels = []
-        rhs = []
+        columns = range(num_vars)
+        entries, rels, rhs = [], [], []
         for coeffs, rel, b in constraints:
             if isinstance(coeffs, Mapping):
-                entries = []
-                for j, c in coeffs.items():
-                    if not (isinstance(j, int) and 0 <= j < num_vars):
-                        raise InputError(f"constraint column {j!r} is not one of the "
-                                         f"{num_vars} variables")
-                    c = _rational(c)
-                    if c:
-                        entries.append((j, c))
-                entries.sort()
-                row = [_ZERO] * num_vars
-                for j, c in entries:
-                    row[j] = c
-                rows.append(tuple(row))
-                nonzeros.append(tuple(entries))
+                pairs = sorted(coeffs.items())
+            elif len(coeffs) != num_vars:
+                raise InputError("constraint row has wrong length")
             else:
-                row = tuple(map(_rational, coeffs))
-                rows.append(row)
-                nonzeros.append(tuple((j, c) for j, c in enumerate(row) if c))
+                pairs = enumerate(coeffs)
+            row = []
+            for j, c in pairs:
+                c = _rational(c)
+                if c or j not in columns:  # a stray column is refused, even at 0
+                    row.append((j, c))
+            entries.append(tuple(row))
             rels.append(rel)
             rhs.append(_rational(b))
         obj = None if objective is None else tuple(map(_rational, objective))
         if sense is None:
             sense = FEASIBILITY if obj is None else MAX
-        program = cls(num_vars, bounds, tuple(rows), tuple(rels), tuple(rhs), obj, sense)
-        # the rows' own nonzeros, so the view need not be derived again
-        program.__dict__["_nonzeros"] = tuple(nonzeros)
-        return program
+        return cls(num_vars, bounds, tuple(entries), tuple(rels), tuple(rhs), obj, sense)
 
-    @cached_property
-    def _nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The ``(column, value)`` pairs of each row's nonzero entries, in
-        column order: the sparse view of ``rows`` that the solver and the
-        checks read.  Not a field, so a copy made by
-        ``dataclasses.replace`` derives it from its own rows."""
-        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.rows)
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The constraint rows as dense tuples, built from ``entries`` on
+        each read."""
+        return tuple(tuple(dict(pairs).get(j, _ZERO) for j in range(self.num_vars))
+                     for pairs in self.entries)
 
 
 def _rational(c):
@@ -288,7 +281,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
             return outcome.value == 0 and duals is None
         if outcome.value != _dot(lp.objective, point):
             return False
-        if duals is None or len(duals) != len(lp.rows):
+        if duals is None or len(duals) != len(lp.relations):
             return False
         y, c, value = duals, lp.objective, outcome.value
         if lp.sense == MIN:  # min mirrors every inequality
@@ -298,14 +291,14 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     if isinstance(outcome, Infeasible):
         # a dual ray for the objective c = 0, a >= row entering negated
         farkas = outcome.farkas
-        if len(farkas) != len(lp.rows):
+        if len(farkas) != len(lp.relations):
             return False
         bound = _dual_bound(lp, [-y if rel == ">=" else y for y, rel in zip(farkas, lp.relations)],
                             [_ZERO] * lp.num_vars)
         return bound is not None and bound < 0
     if isinstance(outcome, Unbounded):
         ray = outcome.ray
-        if lp.objective is None or not _satisfies(lp, ray, [_ZERO] * len(lp.rows)):
+        if lp.objective is None or not _satisfies(lp, ray, [_ZERO] * len(lp.relations)):
             return False
         gain = _dot(lp.objective, ray)
         return gain > 0 if lp.sense == MAX else gain < 0
@@ -325,7 +318,7 @@ def _satisfies(lp, vec, rhs):
             return False
     den = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (den // x.denominator) for x in vec]
-    for nonzeros, rel, b in zip(lp._nonzeros, lp.relations, rhs):
+    for nonzeros, rel, b in zip(lp.entries, lp.relations, rhs):
         scale = b.denominator
         terms = []
         for j, a in nonzeros:
@@ -359,7 +352,7 @@ def _dual_bound(lp, y, c):
     would not do: the denominator of a product ``y_i a_ij`` need not
     divide it.)"""
     used = []
-    for v, nonzeros, rel, b in zip(y, lp._nonzeros, lp.relations, lp.rhs):
+    for v, nonzeros, rel, b in zip(y, lp.entries, lp.relations, lp.rhs):
         if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
             return None
         if v:
@@ -443,11 +436,11 @@ class _Elimination:
         n = lp.num_vars
         free = [j for j, nn in enumerate(lp.nonneg) if not nn]
         equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
-        nonzeros = lp._nonzeros
+        nonzeros = lp.entries
 
         # stage 1: Gauss-Jordan on the equality rows alone, each as integers
         # over one common denominator, right side last
-        rows = {i: _integer_nonzeros(_with_rhs(nonzeros[i], lp.rhs[i], n), n + 1)
+        rows = {i: _integer_entries(_with_rhs(nonzeros[i], lp.rhs[i], n), n + 1)
                 for i in equalities}
         # the combination of original rows that each equality row has become,
         # as integer weights over one positive denominator
@@ -472,7 +465,7 @@ class _Elimination:
         gone = {v for _, v in self.pivots}
         pivot_rows = {i for i, _ in self.pivots}
         self.kept_vars = kept = [j for j in range(n) if j not in gone]
-        self.kept_rows = [i for i in range(len(lp.rows)) if i not in pivot_rows]
+        self.kept_rows = [i for i in range(len(lp.relations)) if i not in pivot_rows]
         # each eliminated row R = nums/den, the combination of original rows
         # that gives it, and the factor den/nums[v] that scales it to 1 on v
         self.solved = {}
@@ -551,14 +544,14 @@ class _Elimination:
         every eliminated variable.  ``signed``: Farkas convention, where a
         ``>=`` row enters negated."""
         lp = self.lp
-        y = [_ZERO] * len(lp.rows)
+        y = [_ZERO] * len(lp.relations)
         # what the eliminated rows must still add on each eliminated variable
         missing = {v: _ZERO if target is None else target[v] for _, v in self.pivots}
         for i, value in zip(self.kept_rows, reduced):
             if value:
                 y[i] = value
                 weight = -value if signed and lp.relations[i] == ">=" else value
-                for j, a in lp._nonzeros[i]:
+                for j, a in lp.entries[i]:
                     if j in missing:
                         missing[j] -= weight * a
         for i, v in self.pivots:
@@ -572,7 +565,7 @@ class _Elimination:
         return tuple(y)
 
 
-def _integer_nonzeros(nonzeros, width):
+def _integer_entries(nonzeros, width):
     """The ``(column, rational)`` pairs as a dense list of ``width``
     integers over their least common denominator, which is the positive
     denominator that puts them in lowest terms."""

@@ -11,8 +11,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ptcompat import catalog, cli, compat, lp
-from ptcompat.errors import InputError
+from ptcompat import catalog, cli, compat, lp, model
+from ptcompat.errors import HullRejection, InputError
 from oracles import (TwoColumnSimplex, best_vertex_2var, certificate_ok, reduce_program,
                      witness_marginals_ok)
 
@@ -727,7 +727,7 @@ def test_elimination_matches_the_dense_oracle(prog):
 
 
 # ---------------------------------------------------------------------------
-# rows given as {column: value} mappings, and the sparse view
+# rows given as {column: value} mappings, and the one stored form
 
 
 @st.composite
@@ -759,8 +759,12 @@ def test_mapping_rows_give_the_same_program(case):
     same = lp.LinearProgram.create(n, mapped, **options)
     assert same == prog
     assert lp.lp_to_text(same) == lp.lp_to_text(prog)
-    # the view create filled is the one a copy derives from its dense rows
-    assert same._nonzeros == prog._nonzeros == dataclasses.replace(same)._nonzeros
+    # the stored pairs are the nonzeros of the dense rows, which the derived
+    # view gives back, and a copy keeps them
+    assert prog.entries == tuple(tuple((j, F(c)) for j, c in enumerate(coeffs) if c)
+                                 for coeffs, _, _ in dense)
+    assert prog.rows == tuple(tuple(map(F, coeffs)) for coeffs, _, _ in dense)
+    assert same.entries == prog.entries == dataclasses.replace(same).entries
     out, again = lp.solve(prog), lp.solve(same)
     assert out == again
     if isinstance(out, lp.Optimal):
@@ -768,19 +772,60 @@ def test_mapping_rows_give_the_same_program(case):
 
 
 def test_mapping_rows_refuse_columns_outside_the_program():
-    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}):
+    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {2: 0}):
         with pytest.raises(InputError):
             lp.LinearProgram.create(2, [(coeffs, "<=", 1)])
+    # built directly or copied, a row's pairs are checked the same way:
+    # unsorted, repeated, out of range, not an int column, zero-valued
+    good = lp.LinearProgram.create(2, [({0: 1}, "<=", 1)])
+    assert good.entries == (((0, F(1)),),)
+    for pairs in (((1, F(1)), (0, F(1))), ((0, F(1)), (0, F(2))), ((2, F(1)),),
+                  ((-1, F(1)),), (("0", F(1)),), ((0, F(0)),), ((0, F(1)), (1, F(0)))):
+        with pytest.raises(InputError):
+            lp.LinearProgram(2, (True, True), (pairs,), ("<=",), (F(1),), None, lp.FEASIBILITY)
+        with pytest.raises(InputError):
+            dataclasses.replace(good, entries=(pairs,))
 
 
 def test_verify_reads_the_rows_of_a_replaced_copy():
     prog = lp.LinearProgram.create(2, [({0: 1, 1: 1}, "<=", 4)], objective=(1, 1))
     out = lp.solve(prog)
     assert out.value == 4 and lp.verify(prog, out)
-    tighter = dataclasses.replace(prog, rows=((F(2), F(2)),))
-    assert tighter._nonzeros == (((0, F(2)), (1, F(2))),)
+    tighter = dataclasses.replace(prog, entries=(((0, F(2)), (1, F(2))),))
+    assert tighter.rows == ((F(2), F(2)),)
     assert not lp.verify(tighter, out)  # 2x + 2y = 8 > 4
-    assert lp.verify(dataclasses.replace(tighter, rows=prog.rows), out)
+    assert lp.verify(dataclasses.replace(tighter, entries=prog.entries), out)
+
+
+def test_solve_and_verify_never_read_the_dense_rows(monkeypatch):
+    square = catalog.named_observables(catalog.square_gbit())
+    cube = catalog.named_observables(catalog.even_logic_cube())
+    ball = catalog.named_observables(catalog.bloch_polytope(8))
+    xy = [square["X"], square["Y"]]
+    programs = {
+        "scan": compat.build_scan_lp([ball["pauli-x"], ball["pauli-y"]], (F(1, 3), F(2, 3))),
+        "index": compat.build_index_lp(cube["A"], cube["B"]),
+        "membership": compat.build_region_lp(xy, [F(1, 2)] * 2),
+        "check": compat.build_joint_lp(xy),
+    }
+
+    def refuse(program):
+        raise AssertionError("dense rows were read")
+
+    monkeypatch.setattr(lp.LinearProgram, "rows", property(refuse))
+    with pytest.raises(AssertionError):
+        programs["check"].rows
+    outcomes = {kind: lp.solve(prog) for kind, prog in programs.items()}
+    assert {kind: type(out) for kind, out in outcomes.items()} == {
+        "scan": lp.Optimal, "index": lp.Optimal, "membership": lp.Optimal,
+        "check": lp.Infeasible}
+    for kind, out in outcomes.items():
+        assert lp.verify(programs[kind], out)
+    # validate_state solves one program per call: a feasible one, an infeasible one
+    theory = catalog.square_gbit()
+    assert model.validate_state(theory, (1, 0, 0)).weights is not None
+    with pytest.raises(HullRejection):
+        model.validate_state(theory, (1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
