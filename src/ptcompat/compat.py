@@ -42,6 +42,7 @@ from .model import (
     Effect,
     Observable,
     TheorySpace,
+    _sums_to_unit,
     vec,
 )
 
@@ -67,13 +68,9 @@ class JointObservable:
             raise InputError("every axis needs at least one outcome")
         if len(self.effects) != math.prod(sizes):
             raise InputError("effect count does not match the outcome grid")
-        total = [_ZERO] * self.theory.dim
-        for e in self.effects:
-            if e.theory != self.theory:
-                raise InputError("joint effect belongs to a different theory")
-            for j, c in enumerate(e.coeffs):
-                total[j] += c
-        if tuple(total) != self.theory.unit:
+        if any(e.theory != self.theory for e in self.effects):
+            raise InputError("joint effect belongs to a different theory")
+        if not _sums_to_unit(self.theory, self.effects):
             raise InputError("joint effects must sum exactly to the unit")
 
     @property
@@ -254,32 +251,47 @@ class _Witness(NamedTuple):
     scale: Fraction  # s, or 0 when the program has none
     sharpness: tuple[Fraction, ...]  # a_k + b_k*s per axis
     noises: tuple[Distribution | None, ...]  # None at sharpness 1
-    marginals: tuple[list[tuple[Fraction, ...]], ...]  # checked effect coefficients per axis
+    marginals: tuple[list[list[int]], ...]  # checked sums per axis and outcome, over den
+    den: int  # the positive common denominator of the point and the marginals
 
 
 def _family_witness(grid, axes, point) -> _Witness:
     """Decode the joint from an optimal point of :func:`_family_program`
     and check each marginal exactly against the noisy observable
-    ``(a_k + b_k*s)*M_kj + t_kj*unit`` that it must equal."""
+    ``(a_k + b_k*s)*M_kj + t_kj*unit`` that it must equal.
+
+    The check is made in integers: with the point as ``X/D``, outcome j's
+    cells sum to ``S/D`` and ``t_kj`` is ``T/D``; with the sharpness as
+    ``L/Q``, ``M_kj`` as ``C/E`` and the unit as ``U/V``, every coordinate
+    must satisfy ``S*Q*E*V == L*D*V*C + T*Q*E*U``."""
     noise, scale, _ = grid.layout(axes)
     dim = grid.dim
     effects = tuple(Effect(grid.theory, point[i * dim:(i + 1) * dim])
                     for i in range(len(grid.cells)))
     joint = JointObservable(grid.theory, tuple(m.outcomes for m in grid.observables), effects)
     s = _ZERO if scale is None else point[scale]
-    unit = grid.theory.unit
+    nums, den = lp._integer_row(point)
+    unit, unit_den = grid.theory._integer_unit
     sharpness, noises, marginals = [], [], []
     for k, (m, (a, b), first) in enumerate(zip(grid.observables, axes, noise)):
         lam = a + b * s
+        sums = [[0] * dim for _ in m.effects]
+        for i, cell in enumerate(grid.cells):
+            acc = sums[cell[k]]
+            for r, x in enumerate(nums[i * dim:(i + 1) * dim]):
+                acc[r] += x
+        for j, (effect, total) in enumerate(zip(m.effects, sums)):
+            coeffs, coeffs_den = lp._integer_row(effect.coeffs)
+            left = lam.denominator * coeffs_den * unit_den
+            sharp = lam.numerator * den * unit_den
+            noisy = 0 if first is None else nums[first + j] * lam.denominator * coeffs_den
+            if any(x * left != c * sharp + u * noisy for x, c, u in zip(total, coeffs, unit)):
+                raise InternalError("joint witness fails exact marginal equality")
         t = (_ZERO,) * len(m) if first is None else point[first:first + len(m)]
-        expected = [tuple(lam * c + tj * u for c, u in zip(e.coeffs, unit))
-                    for e, tj in zip(m.effects, t)]
-        if _marginal_sums(joint, k) != expected:
-            raise InternalError("joint witness fails exact marginal equality")
         sharpness.append(lam)
         noises.append(Distribution(tuple(tj / (1 - lam) for tj in t)) if lam < 1 else None)
-        marginals.append(expected)
-    return _Witness(joint, s, tuple(sharpness), tuple(noises), tuple(marginals))
+        marginals.append(sums)
+    return _Witness(joint, s, tuple(sharpness), tuple(noises), tuple(marginals), den)
 
 
 def _solve_family(grid, axes):
@@ -333,7 +345,8 @@ def compat_index(first: Observable, second: Observable) -> IndexResult:
     w = _solve_family(_Grid([first, second]), _INDEX_AXES)
     theory = second.theory
     partner = Observable(theory, second.outcomes,
-                         tuple(Effect(theory, c) for c in w.marginals[1]))
+                         tuple(Effect(theory, tuple(Fraction(x, w.den) for x in total))
+                               for total in w.marginals[1]))
     return IndexResult(w.sharpness[1], w.noises[1], w.joint, partner)
 
 

@@ -53,22 +53,29 @@ Internally the tableau is condensed and held as integers over one common
 positive denominator: it keeps one column per nonbasic variable, right
 side last, with a map from each slot to its original column number, and
 a pivot exchanges the entering column with the leaving basic one by a
-fraction-free (Bareiss) step whose divisions are exact.  A free variable
-is two columns, ``x+`` and ``x- = -x+``, and one slot stores both: while
-both are nonbasic the other half's column is the negated slot, and while
-one is basic the other's column is ``-delta`` in that row and 0
-elsewhere, with reduced cost 0, so it can never enter and is not stored.
-Entering the other half of a slot negates the slot and relabels it.
-Bland's rule reads the original column numbers and offers each half of
-a slot with its own sign, so the pivots are exactly those of the full
-tableau.  This is only a faster encoding of the same rationals and the
-interface stays Fraction end to end.  Every program is solved by
-row generation: the simplex first runs on the equality rows alone, and
-each round adds the inequality rows that its point (or ray) violates
-most, ties broken by row index, until no row is violated.  So the rows
-taken in do not depend on where the inequality rows sit, and
-certificates returned for the full program remain exact (rows never
-taken in carry zero multipliers).
+fraction-free (Bareiss) step whose divisions are exact.  Rows are stored
+only for the basic structural columns, at most one per variable, next to
+the reduced costs.  The row of a basic slack or artificial follows from
+its constraint's starting row and the stored rows, so a pivot computes
+of it only what the ratio test reads (the entering entry, and the right
+side where that entry is positive), builds it in full only when it
+leaves, and updates the stored rows and the reduced costs alone.  A free
+variable is two columns, ``x+`` and ``x- = -x+``, and one slot stores
+both: while both are nonbasic the other half's column is the negated
+slot, and while one is basic the other's column is ``-delta`` in that
+row and 0 elsewhere, with reduced cost 0, so it can never enter and is
+not stored.  Entering the other half of a slot negates the slot and
+relabels it.  Bland's rule reads the original column numbers and offers
+each half of a slot with its own sign, so the pivots are exactly those
+of the full tableau: the integers they compare are the full tableau's.
+This is only a faster encoding of the same rationals and the interface
+stays Fraction end to end.  Every program is solved by row generation:
+the simplex first runs on the equality rows alone, and each round adds
+the inequality rows that its point (or ray) violates most, ties broken
+by row index, until no row is violated.  So the rows taken in do not
+depend on where the inequality rows sit, and certificates returned for
+the full program remain exact (rows never taken in carry zero
+multipliers).
 
 Presolve
 --------
@@ -661,12 +668,15 @@ def _eliminate(nums, den, p, f, support):
 def _generate_rows(lp):
     """Run the simplex on a working set of rows that starts as the
     equality rows and grows by the inequality rows that the current point
-    or ray violates most, until no row outside it is violated."""
+    or ray violates most, until no row outside it is violated.  The
+    sparse integer view of the rows is built once and read by the scan
+    and by every round's simplex."""
+    pairs = _sparse_rows(lp)
     ineq_rows = [i for i, rel in enumerate(lp.relations) if rel != "="]
-    scan = _ScanCache(lp, ineq_rows)
+    scan = _ScanCache(lp, ineq_rows, pairs)
     working = {i for i, rel in enumerate(lp.relations) if rel == "="}
     for _ in range(len(ineq_rows) + 1):
-        simplex = _Simplex(lp, sorted(working))
+        simplex = _Simplex(lp, sorted(working), pairs)
         outcome = simplex.run()
         if isinstance(outcome, Infeasible):
             return outcome
@@ -684,15 +694,18 @@ def _generate_rows(lp):
     raise InternalError("row generation failed to converge")
 
 
+def _sparse_rows(lp):
+    """Each row of a reduced program as the ``(column, integer)`` pairs of
+    its nonzero numerators, in column order, the right side at column
+    ``num_vars``."""
+    return [[(j, a) for j, a in enumerate(nums) if a] for nums, _ in lp.rows]
+
+
 class _ScanCache:
     """Sparse integer rows for fast exact violation scans."""
 
-    def __init__(self, lp, row_indices):
-        self.entries = []
-        for i in row_indices:
-            nums, den = lp.rows[i]
-            sparse = [(j, a) for j, a in enumerate(nums) if a]
-            self.entries.append((i, lp.relations[i], sparse, den))
+    def __init__(self, lp, row_indices, pairs):
+        self.entries = [(i, lp.relations[i], pairs[i], lp.rows[i][1]) for i in row_indices]
 
     def violated(self, vec, working):
         """The rows outside ``working`` that ``vec`` violates, most violated
@@ -718,56 +731,93 @@ class _ScanCache:
 class _Simplex:
     """Two-phase simplex on a subset of rows, over scaled integers.
 
-    The tableau is condensed: ``self.rows`` holds one entry per stored
-    nonbasic column, in the order of ``self.nonbasic`` (original column
-    numbers), and the right side last; a basic column is implicit,
-    ``self.delta`` in its own row and 0 elsewhere, the reduced costs
-    included.  The entries divided by ``self.delta`` (kept positive) are
-    the exact rational tableau.  Pivots use the integer-preserving
-    exchange ``t' = (p*t - f*s) / delta_previous``, whose division is
-    exact, so no rounding can occur anywhere.
+    The tableau is condensed: a row holds one entry per stored nonbasic
+    column, in the order of ``self.nonbasic`` (original column numbers),
+    and the right side last; a basic column is implicit, ``self.delta``
+    in its own row and 0 elsewhere, the reduced costs included.  The
+    entries divided by ``self.delta`` (kept positive) are the exact
+    rational tableau.  Pivots use the integer-preserving exchange
+    ``t' = (p*t - f*s) / delta_previous``, whose division is exact, so no
+    rounding can occur anywhere.
+
+    Rows are kept only for the basic structural columns: ``self.rows[c]``
+    is the row of basic column ``c``, so at most ``num_vars`` rows are
+    stored, next to the two reduced-cost rows.  ``self.basis`` lists the
+    basic column of every row position.  A row whose basic column ``l`` is
+    the slack or artificial of constraint k is derived when it is read, as
+    ``sigma*(delta*g - sum_c g_c*R_c)``: ``g`` is the constraint's
+    starting row (its integers, its slack and artificial entries, its
+    right side), ``sigma``, +1 or -1, is ``l``'s entry in ``g``, and
+    ``R_c`` runs over the stored rows, ``g_c`` being ``g``'s entry at
+    their basic column ``c``.  The constraint reads
+    ``sigma*x_l + sum_c g_c*x_c + (nonbasic terms) = rhs``, and putting in
+    each basic ``x_c`` from its row leaves exactly that row; every basic
+    column but ``l`` that ``g`` meets is structural, since the slack and
+    artificial of one constraint are never basic together.  So a derived
+    row equals the row that the full tableau would hold, integer for
+    integer.  ``g`` is kept unflipped and column by column:
+    ``self.starts[t]`` holds every constraint's entry in the column of
+    slot ``t`` (the right sides last), and ``self.struct_starts[c]`` those
+    in structural column ``c``.  The flip that makes a right side
+    nonnegative is folded into ``sigma``, which ``self.unit`` gives, with
+    the constraint, for each slack and artificial.
+
+    A pivot computes only the entering entry of each derived row, and its
+    right side where that entry is positive; a derived row is built in
+    full when it leaves, and when an artificial is evicted.  The exchange
+    then updates the stored rows and the reduced costs alone.  A
+    structural column that enters over a derived row adds a stored row,
+    and a slack or artificial that enters drops the leaving one.
 
     A free variable is the pair of columns ``x+`` and ``x- = -x+``, and
     every tableau keeps that relation, so one slot serves both.  While
     both halves are nonbasic, the slot holds the column of the half it is
-    labelled with and the other half's column is its negation.  While one
-    half is basic, the other's column is ``-self.delta`` in that row and 0
+    labelled with and the other half's column is its negation; ``g``
+    reads the minus half as the negated plus half.  While one half is
+    basic, the other's column is ``-self.delta`` in that row and 0
     elsewhere, with reduced cost 0; it can never enter, so it is not
     stored.  A slot labelled with a half of a free variable therefore
     always stands for both halves.
     """
 
-    def __init__(self, lp, row_indices):
+    def __init__(self, lp, row_indices, pairs=None):
         self.lp = lp
         self.row_indices = list(row_indices)
-
-        # structural columns: one per nonnegative variable, a (+,-) pair
-        # per free variable, each half the other's twin
-        self.var_cols = []
-        self.twin = {}
-        ncols = 0
-        for nn in lp.nonneg:
-            if nn:
-                self.var_cols.append((ncols,))
-                ncols += 1
-            else:
-                self.var_cols.append((ncols, ncols + 1))
-                self.twin[ncols], self.twin[ncols + 1] = ncols + 1, ncols
-                ncols += 2
-        self.n_struct = ncols
+        if pairs is None:
+            pairs = _sparse_rows(lp)
         n = lp.num_vars
 
+        # the working rows column by column: columns[j][k] is constraint k's
+        # integer at column j, its right side at column n; its tableau row
+        # starts as flip times that row
         m = len(self.row_indices)
-        self.slack_col = [-1] * m
-        self.art_col = [-1] * m
-        self.scale = [0] * m  # signed integer g_i: internal row = g_i * a_i
-        structural = []
-        rhs = []
-        slack_signs = []
+        columns = [[0] * m for _ in range(n + 1)]
         for k, i in enumerate(self.row_indices):
-            nums, den = lp.rows[i]
+            for j, a in pairs[i]:
+                columns[j][k] = a
+
+        # structural columns: one per nonnegative variable, a (+,-) pair
+        # per free variable, each half the other's twin; struct_starts[c]
+        # is column c of the (unflipped) starting rows
+        self.var_cols = []
+        self.twin = {}
+        self.struct_starts = []
+        for column, nn in zip(columns, lp.nonneg):
+            c = len(self.struct_starts)
+            if nn:
+                self.var_cols.append((c,))
+                self.struct_starts.append(column)
+            else:
+                self.var_cols.append((c, c + 1))
+                self.twin[c], self.twin[c + 1] = c + 1, c
+                self.struct_starts += (column, [-a for a in column])
+        self.n_struct = ncols = len(self.struct_starts)
+
+        self.scale = [0] * m  # signed integer g_k: internal row = g_k * a_k
+        flips, slack_signs = [], []
+        for k, i in enumerate(self.row_indices):
             rel = lp.relations[i]
-            b = nums[-1]
+            b = columns[n][k]
             if rel == "<=":
                 flip = 1 if b >= 0 else -1
                 slack_sign = flip
@@ -777,31 +827,41 @@ class _Simplex:
             else:
                 flip = 1 if b >= 0 else -1
                 slack_sign = 0
-            self.scale[k] = flip * den
-            structural.append([flip * a for a in nums[:n]])
-            rhs.append(flip * b)
+            self.scale[k] = flip * lp.rows[i][1]
+            flips.append(flip)
             slack_signs.append(slack_sign)
 
+        # unit[l] = (k, e): column l is the slack or artificial of
+        # constraint k, with entry e in the unflipped row (the flip times
+        # its entry sigma in the tableau row)
+        self.slack_col = [-1] * m
+        self.art_col = [-1] * m
+        self.unit = {}
         for k in range(m):
             if slack_signs[k] != 0:
                 self.slack_col[k] = ncols
+                self.unit[ncols] = (k, flips[k] * slack_signs[k])
                 ncols += 1
         for k in range(m):
             if slack_signs[k] != 1:  # slack missing or with -1 coefficient
                 self.art_col[k] = ncols
+                self.unit[ncols] = (k, flips[k])
                 ncols += 1
         self.n_enter_phase2 = self.n_struct + sum(1 for s in self.slack_col if s >= 0)
 
         # the starting basis is each row's artificial if it has one, else
-        # its slack; the structural columns start nonbasic, one slot per
-        # variable, and the -1 slacks of the other rows are the only
-        # nonbasic columns past them
+        # its slack, so no row is stored; the structural columns start
+        # nonbasic, one slot per variable, and the -1 slacks of the other
+        # rows are the only nonbasic columns past them
         self.basis = [a if a >= 0 else s for a, s in zip(self.art_col, self.slack_col)]
         surplus = [k for k in range(m) if slack_signs[k] == -1]
         self.nonbasic = [cols[0] for cols in self.var_cols] + [self.slack_col[k] for k in surplus]
-        self.rows = [structural[k] + [-int(k == s) for s in surplus] + [rhs[k]]
-                     for k in range(m)]
+        self.rows = {}
         self.delta = 1
+        # starts[t][k]: constraint k's unflipped entry in the column of slot
+        # t, the right side last
+        self.starts = [*columns[:n], *(self._start_column(self.slack_col[k]) for k in surplus),
+                       columns[n]]
 
         # phase-2 reduced costs (internal minimization)
         width = len(self.nonbasic) + 1
@@ -816,16 +876,92 @@ class _Simplex:
         self.obj2 = obj2 + [0] * (width - n)
 
         # phase-1 reduced costs for the starting basis: minus the sum of the
-        # rows whose basic column is an artificial
-        art_rows = [self.rows[k] for k in range(m) if self.art_col[k] >= 0]
-        self.obj1 = [-sum(col) for col in zip(*art_rows)] if art_rows else None
+        # rows whose basic column is an artificial; every -1 slack is one
+        # of them, with its own entry -1
+        self.obj1 = None
+        if any(a >= 0 for a in self.art_col):
+            obj1 = [0] * n + [1] * len(surplus) + [0]
+            for k, i in enumerate(self.row_indices):
+                if self.art_col[k] >= 0:
+                    flip = flips[k]
+                    for j, a in pairs[i]:
+                        obj1[j if j < n else -1] -= flip * a
+            self.obj1 = obj1
+
+    # -- rows -------------------------------------------------------------
+
+    def _start_column(self, col):
+        """Column ``col`` of the starting rows, unflipped: one entry per
+        constraint."""
+        if col < self.n_struct:
+            return self.struct_starts[col]
+        k, e = self.unit[col]
+        column = [0] * len(self.row_indices)
+        column[k] = e
+        return column
+
+    def _derived(self, r):
+        """The full row of position ``r``, whose basic column is a slack or
+        an artificial: ``sigma*(delta*g - sum_c g_c*R_c)``."""
+        k, sigma = self.unit[self.basis[r]]
+        scale = sigma * self.delta
+        row = [scale * column[k] for column in self.starts]
+        struct_starts = self.struct_starts
+        for c, stored in self.rows.items():
+            f = struct_starts[c][k]
+            if f:
+                f *= sigma
+                row = [x - f * y for x, y in zip(row, stored)]
+        return row
+
+    def _leaving(self, t):
+        """The ratio test on the column in slot ``t``: the position of the
+        row with the least ``b/a`` over the rows whose entry ``a`` there is
+        positive, ties to the smaller basic column, else -1.  The entries
+        ``a`` of the derived rows come out for every constraint at once, a
+        right side ``b`` only where ``a`` is positive."""
+        n_struct, rows, unit = self.n_struct, self.rows, self.unit
+        d = self.delta
+        # delta*g - sum_c g_c*R_c in slot t, for every constraint
+        entry = [d * a for a in self.starts[t]]
+        sides = []
+        for c, stored in rows.items():
+            column = self.struct_starts[c]
+            f = stored[t]
+            if f:
+                entry = [x - f * a for x, a in zip(entry, column)]
+            if stored[-1]:
+                sides.append((column, stored[-1]))
+        rhs = self.starts[-1]
+        leave, basic = -1, -1
+        lv_num = lv_den = 0
+        for i, c in enumerate(self.basis):
+            if c < n_struct:
+                stored = rows[c]
+                a = stored[t]
+                if a <= 0:
+                    continue
+                b = stored[-1]
+            else:
+                k, sigma = unit[c]
+                a = sigma * entry[k]
+                if a <= 0:
+                    continue
+                b = d * rhs[k]
+                for column, v in sides:
+                    b -= column[k] * v
+                b *= sigma
+            if leave < 0 or b * lv_den < lv_num * a or (b * lv_den == lv_num * a and c < basic):
+                leave, basic, lv_num, lv_den = i, c, b, a
+        return leave
 
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r, t):
         """Exchange the basic column of row ``r`` with the nonbasic column
         in slot ``t``; the leaving column takes over the slot."""
-        prow = self.rows[r]
+        leaving = self.basis[r]
+        prow = self.rows.pop(leaving) if leaving < self.n_struct else self._derived(r)
         p = prow[t]
         d = self.delta
 
@@ -839,18 +975,20 @@ class _Simplex:
             row[t] = -f
             return row
 
-        for i in range(len(self.rows)):
-            if i != r:
-                self.rows[i] = update(self.rows[i])
+        self.rows = {c: update(row) for c, row in self.rows.items()}
         self.obj2 = update(self.obj2)
         if self.obj1 is not None:
             self.obj1 = update(self.obj1)
         prow[t] = d
+        entering = self.nonbasic[t]
+        self.basis[r], self.nonbasic[t] = entering, leaving
+        if entering < self.n_struct:
+            self.rows[entering] = prow
+        self.starts[t] = self._start_column(leaving)
         self.delta = p
-        self.basis[r], self.nonbasic[t] = self.nonbasic[t], self.basis[r]
         if self.delta < 0:
             self.delta = -self.delta
-            self.rows = [[-v for v in row] for row in self.rows]
+            self.rows = {c: [-v for v in row] for c, row in self.rows.items()}
             self.obj2 = [-v for v in self.obj2]
             if self.obj1 is not None:
                 self.obj1 = [-v for v in self.obj1]
@@ -874,8 +1012,9 @@ class _Simplex:
                 slot, best = t, other
         if slot >= 0 and self.nonbasic[slot] != best:
             self.nonbasic[slot] = best
-            for row in self.rows:
+            for row in self.rows.values():
                 row[slot] = -row[slot]
+            self.starts[slot] = self.struct_starts[best]
             self.obj2[slot] = -self.obj2[slot]
             if self.obj1 is not None:
                 self.obj1[slot] = -self.obj1[slot]
@@ -889,17 +1028,7 @@ class _Simplex:
             enter = self._entering(self.obj1 if phase1 else self.obj2, lambda v: v < 0)
             if enter < 0:
                 return -1
-            leave = -1
-            lv_num = lv_den = 0
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a <= 0:
-                    continue
-                b = row[-1]
-                if leave < 0 or b * lv_den < lv_num * a or (
-                    b * lv_den == lv_num * a and self.basis[i] < self.basis[leave]
-                ):
-                    leave, lv_num, lv_den = i, b, a
+            leave = self._leaving(enter)
             if leave < 0:
                 return enter
             self._pivot(leave, enter)
@@ -918,9 +1047,11 @@ class _Simplex:
             self._evict_artificials()
 
         slot = self._optimize(phase1=False)
-        self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
+        # only structural columns carry values of the variables, and those
+        # rows are the stored ones
+        self.point = self._variables({c: row[-1] for c, row in self.rows.items()})
         if slot >= 0:
-            ray = {c: -row[slot] for c, row in zip(self.basis, self.rows)}
+            ray = {c: -row[slot] for c, row in self.rows.items()}
             ray[self.nonbasic[slot]] = self.delta
             return Unbounded(self._variables(ray))
         if self.lp.objective is None:
@@ -932,11 +1063,11 @@ class _Simplex:
     def _evict_artificials(self):
         """Pivot zero-level artificials out of the basis; drop redundant rows."""
         r = 0
-        while r < len(self.rows):
+        while r < len(self.basis):
             if self.basis[r] < self.n_enter_phase2:
                 r += 1
                 continue
-            row = self.rows[r]
+            row = self._derived(r)
             if row[-1] != 0:
                 raise InternalError("artificial variable stuck at a nonzero level")
             enter = self._entering(row, bool)
@@ -945,7 +1076,6 @@ class _Simplex:
                 r += 1
             else:
                 # the row reads 0 = 0 over every real column: redundant
-                del self.rows[r]
                 del self.basis[r]
 
     # -- extraction -------------------------------------------------------

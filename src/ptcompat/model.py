@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import lp
 from .errors import HullRejection, InputError
@@ -140,6 +141,25 @@ class TheorySpace:
         denominator, computed once per theory for the effect checks."""
         return tuple(lp._integer_row(x) for x in self.extreme_points)
 
+    @cached_property
+    def _integer_unit(self) -> tuple[list[int], int]:
+        """The unit functional as integers over its least common
+        denominator, computed once per theory."""
+        return lp._integer_row(self.unit)
+
+
+def _sums_to_unit(theory: TheorySpace, effects) -> bool:
+    """Do the effects' coefficients add up exactly to the theory's unit?
+    Checked in integers: their sum as ``S/L`` over the lcm ``L`` of all
+    their denominators, and ``S*V == U*L`` with the unit as ``U/V``."""
+    den = lcm(*(c.denominator for e in effects for c in e.coeffs))
+    total = [0] * theory.dim
+    for e in effects:
+        for r, c in enumerate(e.coeffs):
+            total[r] += c.numerator * (den // c.denominator)
+    unit, unit_den = theory._integer_unit
+    return all(s * unit_den == u * den for s, u in zip(total, unit))
+
 
 @dataclass(frozen=True)
 class State:
@@ -222,13 +242,9 @@ class Observable:
             raise InputError("outcome labels must be distinct")
         if len(self.effects) != len(self.outcomes):
             raise InputError("one effect per outcome required")
-        total = [Fraction(0)] * self.theory.dim
-        for e in self.effects:
-            if e.theory != self.theory:
-                raise InputError("effect belongs to a different theory")
-            for j, c in enumerate(e.coeffs):
-                total[j] += c
-        if tuple(total) != self.theory.unit:
+        if any(e.theory != self.theory for e in self.effects):
+            raise InputError("effect belongs to a different theory")
+        if not _sums_to_unit(self.theory, self.effects):
             raise InputError("effects must sum exactly to the unit functional")
 
     def __len__(self):

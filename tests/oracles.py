@@ -14,7 +14,10 @@ oracle runs the presolve's Gauss-Jordan steps in plain ``Fraction``
 arithmetic into every row, where the solver substitutes into the rows
 that are not equalities only once, at the end.  The simplex oracle keeps
 both columns ``x+`` and ``x- = -x+`` of every free variable in its
-tableau, where the solver stores one slot per free variable.
+tableau, where the solver stores one slot per free variable.  The
+condensed-tableau oracle keeps a row for every basic column, where the
+solver stores only the rows of basic structural columns and derives the
+others from their constraints' starting rows.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from ptcompat.errors import InternalError
+from ptcompat.lp import MAX, Infeasible, LpOutcome, Optimal, Unbounded
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -484,3 +490,290 @@ class TwoColumnSimplex:
             t = slot.get(col)
             y[i] = Fraction((cost - (0 if t is None else obj[t])) * self.scale[k], self.delta)
         return y
+
+
+# the names that the condensed-tableau oracle below reads
+_ZERO = ZERO
+_MAX_PIVOTS = 5_000_000
+
+
+def _dot(row, vec):
+    return sum((Fraction(a) * x for a, x in zip(row, vec)), ZERO)
+
+
+class CondensedSimplex:
+    """The two-phase simplex of ``ptcompat.lp`` on the full condensed
+    tableau: one stored row for every basic column, slacks and
+    artificials included, each updated by every pivot.  It takes the same
+    reduced program and row subset, and returns the same outcomes.  The
+    rest of this docstring and the code are the solver's as they were
+    before it derived the rows of basic slacks and artificials.
+
+    Two-phase simplex on a subset of rows, over scaled integers.
+
+    The tableau is condensed: ``self.rows`` holds one entry per stored
+    nonbasic column, in the order of ``self.nonbasic`` (original column
+    numbers), and the right side last; a basic column is implicit,
+    ``self.delta`` in its own row and 0 elsewhere, the reduced costs
+    included.  The entries divided by ``self.delta`` (kept positive) are
+    the exact rational tableau.  Pivots use the integer-preserving
+    exchange ``t' = (p*t - f*s) / delta_previous``, whose division is
+    exact, so no rounding can occur anywhere.
+
+    A free variable is the pair of columns ``x+`` and ``x- = -x+``, and
+    every tableau keeps that relation, so one slot serves both.  While
+    both halves are nonbasic, the slot holds the column of the half it is
+    labelled with and the other half's column is its negation.  While one
+    half is basic, the other's column is ``-self.delta`` in that row and 0
+    elsewhere, with reduced cost 0; it can never enter, so it is not
+    stored.  A slot labelled with a half of a free variable therefore
+    always stands for both halves.
+    """
+
+    def __init__(self, lp, row_indices):
+        self.lp = lp
+        self.row_indices = list(row_indices)
+
+        # structural columns: one per nonnegative variable, a (+,-) pair
+        # per free variable, each half the other's twin
+        self.var_cols = []
+        self.twin = {}
+        ncols = 0
+        for nn in lp.nonneg:
+            if nn:
+                self.var_cols.append((ncols,))
+                ncols += 1
+            else:
+                self.var_cols.append((ncols, ncols + 1))
+                self.twin[ncols], self.twin[ncols + 1] = ncols + 1, ncols
+                ncols += 2
+        self.n_struct = ncols
+        n = lp.num_vars
+
+        m = len(self.row_indices)
+        self.slack_col = [-1] * m
+        self.art_col = [-1] * m
+        self.scale = [0] * m  # signed integer g_i: internal row = g_i * a_i
+        structural = []
+        rhs = []
+        slack_signs = []
+        for k, i in enumerate(self.row_indices):
+            nums, den = lp.rows[i]
+            rel = lp.relations[i]
+            b = nums[-1]
+            if rel == "<=":
+                flip = 1 if b >= 0 else -1
+                slack_sign = flip
+            elif rel == ">=":
+                flip = -1 if b <= 0 else 1
+                slack_sign = -flip
+            else:
+                flip = 1 if b >= 0 else -1
+                slack_sign = 0
+            self.scale[k] = flip * den
+            structural.append([flip * a for a in nums[:n]])
+            rhs.append(flip * b)
+            slack_signs.append(slack_sign)
+
+        for k in range(m):
+            if slack_signs[k] != 0:
+                self.slack_col[k] = ncols
+                ncols += 1
+        for k in range(m):
+            if slack_signs[k] != 1:  # slack missing or with -1 coefficient
+                self.art_col[k] = ncols
+                ncols += 1
+        self.n_enter_phase2 = self.n_struct + sum(1 for s in self.slack_col if s >= 0)
+
+        # the starting basis is each row's artificial if it has one, else
+        # its slack; the structural columns start nonbasic, one slot per
+        # variable, and the -1 slacks of the other rows are the only
+        # nonbasic columns past them
+        self.basis = [a if a >= 0 else s for a, s in zip(self.art_col, self.slack_col)]
+        surplus = [k for k in range(m) if slack_signs[k] == -1]
+        self.nonbasic = [cols[0] for cols in self.var_cols] + [self.slack_col[k] for k in surplus]
+        self.rows = [structural[k] + [-int(k == s) for s in surplus] + [rhs[k]]
+                     for k in range(m)]
+        self.delta = 1
+
+        # phase-2 reduced costs (internal minimization)
+        width = len(self.nonbasic) + 1
+        if lp.objective is not None:
+            nums, den = lp.objective
+            sgn = -1 if lp.sense == MAX else 1
+            self.obj_scale = sgn * den
+            obj2 = [sgn * a for a in nums]
+        else:
+            self.obj_scale = 1
+            obj2 = [0] * n
+        self.obj2 = obj2 + [0] * (width - n)
+
+        # phase-1 reduced costs for the starting basis: minus the sum of the
+        # rows whose basic column is an artificial
+        art_rows = [self.rows[k] for k in range(m) if self.art_col[k] >= 0]
+        self.obj1 = [-sum(col) for col in zip(*art_rows)] if art_rows else None
+
+    # -- pivoting ---------------------------------------------------------
+
+    def _pivot(self, r, t):
+        """Exchange the basic column of row ``r`` with the nonbasic column
+        in slot ``t``; the leaving column takes over the slot."""
+        prow = self.rows[r]
+        p = prow[t]
+        d = self.delta
+
+        def update(row):
+            f = row[t]
+            if f == 0:
+                if p == d:
+                    return row
+                return [(p * v) // d for v in row]
+            row = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            row[t] = -f
+            return row
+
+        for i in range(len(self.rows)):
+            if i != r:
+                self.rows[i] = update(self.rows[i])
+        self.obj2 = update(self.obj2)
+        if self.obj1 is not None:
+            self.obj1 = update(self.obj1)
+        prow[t] = d
+        self.delta = p
+        self.basis[r], self.nonbasic[t] = self.nonbasic[t], self.basis[r]
+        if self.delta < 0:
+            self.delta = -self.delta
+            self.rows = [[-v for v in row] for row in self.rows]
+            self.obj2 = [-v for v in self.obj2]
+            if self.obj1 is not None:
+                self.obj1 = [-v for v in self.obj1]
+
+    # -- phases -----------------------------------------------------------
+
+    def _entering(self, values, wanted):
+        """Bland's rule: the slot of the smallest-numbered column that may
+        enter and whose entry in the tableau row ``values`` is ``wanted``,
+        else -1.  A slot that stands for both halves of a free variable
+        offers its label with the entry ``v`` and the twin with ``-v``; when
+        the twin is chosen, the slot is negated and relabelled with it, so
+        that it holds the entering column."""
+        slot, best = -1, self.n_enter_phase2
+        twin = self.twin
+        for t, (col, v) in enumerate(zip(self.nonbasic, values)):
+            if col < best and wanted(v):
+                slot, best = t, col
+            other = twin.get(col)
+            if other is not None and other < best and wanted(-v):
+                slot, best = t, other
+        if slot >= 0 and self.nonbasic[slot] != best:
+            self.nonbasic[slot] = best
+            for row in self.rows:
+                row[slot] = -row[slot]
+            self.obj2[slot] = -self.obj2[slot]
+            if self.obj1 is not None:
+                self.obj1[slot] = -self.obj1[slot]
+        return slot
+
+    def _optimize(self, phase1):
+        """Bland-rule pivots on the phase's reduced costs.  Returns -1 once
+        no reduced cost is negative, or the slot of the entering column that
+        no row bounds (the program is unbounded along it)."""
+        for _ in range(_MAX_PIVOTS):
+            enter = self._entering(self.obj1 if phase1 else self.obj2, lambda v: v < 0)
+            if enter < 0:
+                return -1
+            leave = -1
+            lv_num = lv_den = 0
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                b = row[-1]
+                if leave < 0 or b * lv_den < lv_num * a or (
+                    b * lv_den == lv_num * a and self.basis[i] < self.basis[leave]
+                ):
+                    leave, lv_num, lv_den = i, b, a
+            if leave < 0:
+                return enter
+            self._pivot(leave, enter)
+        raise InternalError("pivot limit exceeded")
+
+    def run(self) -> LpOutcome:
+        """The outcome over all of the program's rows, those outside the
+        working set carrying zero multipliers.  An unbounded outcome leaves
+        its feasible point in ``self.point``, as an optimal one does."""
+        if self.obj1 is not None:
+            if self._optimize(phase1=True) >= 0:
+                raise InternalError("phase-1 objective cannot be unbounded")
+            if self.obj1[-1] < 0:  # minimum of artificial sum is positive
+                return Infeasible(self._multipliers(self.obj1, phase1=True))
+            self.obj1 = None
+            self._evict_artificials()
+
+        slot = self._optimize(phase1=False)
+        self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
+        if slot >= 0:
+            ray = {c: -row[slot] for c, row in zip(self.basis, self.rows)}
+            ray[self.nonbasic[slot]] = self.delta
+            return Unbounded(self._variables(ray))
+        if self.lp.objective is None:
+            return Optimal(self.point, _ZERO)
+        nums, den = self.lp.objective
+        return Optimal(self.point, _dot(nums, self.point) / den,
+                       self._multipliers(self.obj2, phase1=False))
+
+    def _evict_artificials(self):
+        """Pivot zero-level artificials out of the basis; drop redundant rows."""
+        r = 0
+        while r < len(self.rows):
+            if self.basis[r] < self.n_enter_phase2:
+                r += 1
+                continue
+            row = self.rows[r]
+            if row[-1] != 0:
+                raise InternalError("artificial variable stuck at a nonzero level")
+            enter = self._entering(row, bool)
+            if enter >= 0:
+                self._pivot(r, enter)
+                r += 1
+            else:
+                # the row reads 0 = 0 over every real column: redundant
+                del self.rows[r]
+                del self.basis[r]
+
+    # -- extraction -------------------------------------------------------
+
+    def _variables(self, columns):
+        """Variable values from integer column values over ``self.delta``;
+        a free variable is its + column minus its - column."""
+        values = []
+        for cols in self.var_cols:
+            x = columns.get(cols[0], 0)
+            if len(cols) == 2:
+                x -= columns.get(cols[1], 0)
+            values.append(Fraction(x, self.delta))
+        return tuple(values)
+
+    def _multipliers(self, obj, phase1):
+        """One multiplier per program row, read off the reduced costs
+        ``obj`` at the column that started as the row's unit column (its
+        artificial if it has one, else its slack; 0 while that column is
+        basic, or gone with its row): the artificial's phase-1 cost of 1
+        (0 otherwise) minus that reduced cost, times the row's scale, all
+        over ``self.delta``.  Phase 1 gives the Farkas multipliers, negated
+        on every row that is not ``>=``; phase 2 gives the duals, divided
+        by the objective's scale.  Rows outside the working set get zero."""
+        slot = {col: t for t, col in enumerate(self.nonbasic)}
+        relations = self.lp.relations
+        y = [_ZERO] * len(relations)
+        for k, i in enumerate(self.row_indices):
+            art = self.art_col[k] >= 0
+            col = self.art_col[k] if art else self.slack_col[k]
+            cost = self.delta if phase1 and art else 0
+            t = slot.get(col)
+            if phase1:
+                den = self.delta if relations[i] == ">=" else -self.delta
+            else:
+                den = self.delta * self.obj_scale
+            y[i] = Fraction((cost - (0 if t is None else obj[t])) * self.scale[k], den)
+        return tuple(y)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, compat, lp, model
-from ptcompat.errors import InputError
+from ptcompat.errors import InputError, InternalError
 from oracles import bisect_noise_threshold, dichotomic_pair_compatible, witness_marginals_ok
 
 F = Fraction
@@ -101,6 +101,67 @@ def test_diagonal_self_joint():
     assert compat.marginal(diag, 1) == M
     assert isinstance(compat.check_compatible([M, M]), compat.Compatible)
 
+
+
+def _trit_pair():
+    # two observables on a classical trit with vertices 2*e_r, so that the
+    # unit is (1/2, 1/2, 1/2); their product joint is interior (strictly
+    # between 0 and 1) at every vertex, and the denominators are mixed
+    t = model.TheorySpace.make("trit", 3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)], ["1/2"] * 3)
+
+    def dichotomy(labels, values):  # the first effect's values at the vertices
+        first = tuple(v / 2 for v in values)
+        second = tuple(u - c for u, c in zip(t.unit, first))
+        return model.Observable(t, labels, (model.Effect(t, first), model.Effect(t, second)))
+
+    M = dichotomy(("a", "b"), (F(1, 3), F(1, 2), F(1, 5)))
+    N = dichotomy(("c", "d"), (F(1, 7), F(3, 4), F(1, 2)))
+    # the joint cell (i, j) takes the value M_i * N_j at every vertex
+    cells = [tuple(2 * a * b for a, b in zip(e.coeffs, f.coeffs))
+             for e in M.effects for f in N.effects]
+    return t, M, N, cells
+
+
+def test_sums_to_the_unit_are_checked_exactly():
+    t, M, N, cells = _trit_pair()
+    joint = compat.JointObservable(t, (M.outcomes, N.outcomes),
+                                   tuple(model.Effect(t, c) for c in cells))
+    assert compat.marginal(joint, 0) == M and compat.marginal(joint, 1) == N
+    tiny = F(1, 10**30)
+    off = [cells[0]] + cells[1:]
+    off[0] = (cells[0][0] + tiny,) + cells[0][1:]
+    with pytest.raises(InputError, match="joint effects must sum exactly to the unit"):
+        compat.JointObservable(t, (M.outcomes, N.outcomes), tuple(model.Effect(t, c) for c in off))
+    short = model.Effect(t, (M.effects[1].coeffs[0] - tiny,) + M.effects[1].coeffs[1:])
+    with pytest.raises(InputError, match="effects must sum exactly to the unit functional"):
+        model.Observable(t, ("a", "b"), (M.effects[0], short))
+
+
+def test_family_witness_checks_every_marginal():
+    t, M, N, cells = _trit_pair()
+    grid = compat._Grid([M, N])
+    sharp = [compat._SHARP] * 2
+    point = [c for cell in cells for c in cell]
+    witness = compat._family_witness(grid, sharp, point)
+    assert compat.marginal(witness.joint, 0) == M and compat.marginal(witness.joint, 1) == N
+    # move a little weight between two cells: the cell sum stays the unit,
+    # the marginal along the other axis breaks
+    tiny = F(1, 10**30)
+    for other in (1, 2):  # cell (0, 1) breaks axis 1, cell (1, 0) axis 0
+        moved = list(point)
+        moved[0] += tiny
+        moved[other * t.dim] -= tiny
+        with pytest.raises(InternalError, match="marginal equality"):
+            compat._family_witness(grid, sharp, moved)
+    # a noisy axis: a tampered sharpness s moves the noisy target
+    out = lp.solve(compat.build_index_lp(M, N))
+    _, scale, _ = grid.layout(compat._INDEX_AXES)
+    witness = compat._family_witness(grid, compat._INDEX_AXES, out.point)
+    assert witness.sharpness[1] == out.point[scale]
+    tampered = list(out.point)
+    tampered[scale] -= tiny
+    with pytest.raises(InternalError, match="marginal equality"):
+        compat._family_witness(grid, compat._INDEX_AXES, tampered)
 
 def test_compatible_witness_marginals_every_axis():
     for theory in small_theories():

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, cli, compat, lp, model
 from ptcompat.errors import HullRejection, InputError
-from oracles import (TwoColumnSimplex, best_vertex_2var, certificate_ok, reduce_program,
-                     witness_marginals_ok)
+from oracles import (CondensedSimplex, TwoColumnSimplex, best_vertex_2var, certificate_ok,
+                     reduce_program, witness_marginals_ok)
 
 F = Fraction
 
@@ -880,3 +880,91 @@ def test_folded_free_columns_pivot_like_the_two_column_simplex(case):
     assert simplex.pivots == reference.pivots
     if out[0] != "Infeasible":
         assert simplex.point == reference.point
+
+
+# ---------------------------------------------------------------------------
+# stored and derived rows, against the full condensed tableau
+
+
+def _tableau(simplex, rows):
+    """What a pivot leaves: delta, basis, slot labels, one row per position
+    and the reduced costs, each copied."""
+    obj1 = None if simplex.obj1 is None else list(simplex.obj1)
+    return (simplex.delta, list(simplex.basis), list(simplex.nonbasic),
+            [list(row) for row in rows], list(simplex.obj2), obj1)
+
+
+class _FullTableauOracle(CondensedSimplex):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tableaux = [_tableau(self, self.rows)]
+
+    def _pivot(self, r, t):
+        super()._pivot(r, t)
+        self.tableaux.append(_tableau(self, self.rows))
+
+
+class _LockstepSimplex(lp._Simplex):
+    """The solver's simplex, whose every tableau (after set-up, after each
+    pivot and at the end) must equal the oracle's on the same rows: the
+    stored row of each basic structural column, and the row of each basic
+    slack or artificial built in full.  The oracle runs first, so a
+    tableau that differs fails at once, before it can lead anywhere."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        oracle = _FullTableauOracle(self.lp, self.row_indices)
+        self.expected = _as_tuple(oracle.run())
+        self.tableaux = oracle.tableaux + [_tableau(oracle, oracle.rows)]
+        self.step = 0
+        self._compare()
+
+    def _compare(self):
+        structural = [c for c in self.basis if c < self.n_struct]
+        assert sorted(self.rows) == sorted(structural)
+        assert len(self.rows) <= self.lp.num_vars
+        rows = [self.rows[c] if c < self.n_struct else self._derived(r)
+                for r, c in enumerate(self.basis)]
+        assert self.step < len(self.tableaux), "more pivots than the oracle"
+        assert _tableau(self, rows) == self.tableaux[self.step], f"tableau {self.step} differs"
+        self.step += 1
+
+    def _pivot(self, r, t):
+        super()._pivot(r, t)
+        self._compare()
+
+    def run(self):
+        out = super().run()
+        assert self.step == len(self.tableaux) - 1, "fewer pivots than the oracle"
+        self._compare()
+        assert _as_tuple(out) == self.expected
+        return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reduced_programs())
+def test_stored_and_derived_rows_equal_the_full_tableau(case):
+    prog, working = case
+    _LockstepSimplex(prog, working).run()
+
+
+def test_family_programs_keep_the_full_tableau(monkeypatch):
+    # every round of row generation on the programs whose pivots are
+    # pinned above: a region scan and a cube index
+    pivots = []
+
+    class Counted(_LockstepSimplex):
+        def run(self):
+            out = super().run()
+            pivots.append(len(self.tableaux) - 2)  # less set-up and end
+            return out
+
+    monkeypatch.setattr(lp, "_Simplex", Counted)
+    named = catalog.named_observables(catalog.bloch_polytope(32))
+    compat.region_boundary_scan([named["pauli-x"], named["pauli-y"]],
+                                compat.angular_directions(8))
+    assert sum(pivots) == 230
+    pivots.clear()
+    cube = catalog.named_observables(catalog.even_logic_cube())
+    compat.compat_index(cube["A"], cube["B"])
+    assert sum(pivots) == 31
