@@ -358,7 +358,8 @@ def classify_state(lambdas, out):
 
 @main.command("estimate-index")
 @click.argument("theory_name")
-@click.option("--samples", default=50, show_default=True)
+@click.option("--samples", default=50, show_default=True,
+              help=f"Number of sampled pairs (at most {compat.MAX_SAMPLES}).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def estimate_index(theory_name, samples, seed, out):

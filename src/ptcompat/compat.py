@@ -438,19 +438,24 @@ def pair_seed(seed: int, index: int, half: int) -> int:
     return seed * 1_000_003 + 2 * index + half
 
 
+MAX_SAMPLES = 10_000  # each sampled pair is one solved program
+
+
 def theory_index_estimate(theory: TheorySpace, pairs: int, seed: int = 0,
                           outcomes: int = 2) -> EstimateResult:
     """Upper bound on the theory's compatibility index from sampled pairs.
 
     The bound is the minimum of the pair indices over a deterministic
     sample, hence nonincreasing as the sample grows (prefix property).
-    A sample budget of zero returns the vacuous bound 1; a negative one
-    is refused.
+    A sample budget of zero returns the vacuous bound 1; a negative one,
+    or one past ``MAX_SAMPLES``, is refused.
     """
     from .catalog import random_observable
 
     if pairs < 0:
         raise InputError(f"the number of sampled pairs must be at least 0, got {pairs}")
+    if pairs > MAX_SAMPLES:
+        raise InputError(f"at most {MAX_SAMPLES} sampled pairs, got {pairs}")
     best = _ONE
     argmin = None
     argmin_index = None

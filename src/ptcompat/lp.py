@@ -87,16 +87,20 @@ made outside the package.  The presolve, the restoring of results and
 matter and never build a dense row.
 
 Free variables are eliminated through equality rows before the simplex
-runs, in two stages.  The rows that remain, right side last, and the
-objective come out of them as integers over one positive denominator in
-lowest terms.  This is the only encoding that the row scan and the simplex
+runs, in two stages.  Every row that the stages build or leave is held
+once, sparse: ``{column: integer}`` over one positive denominator in
+lowest terms, with nonzero entries only and the right side at the column
+after the last variable.  The objective comes out as a dense list of
+integers over one positive denominator, the start of the simplex's cost
+row.  These are the only encodings that the row scan and the simplex
 read: the simplex tableau starts from these integers.
 
 1. Gauss-Jordan on the equality rows alone, each first written over the
    least common denominator of its entries.  They are taken in index
    order; each one pivots on its first free variable with a nonzero
    coefficient, and an exact, fraction-free step substitutes that
-   variable into every other equality row, which is brought back to
+   variable into every other equality row that holds it, visiting the
+   nonzero entries of the two rows only; the result is brought back to
    lowest terms with a positive denominator.  The combination of
    original rows that each equality row has become is kept alongside,
    as integer weights over one positive denominator.  A step reads only
@@ -105,9 +109,9 @@ read: the simplex tableau starts from these integers.
    on every other eliminated variable.
 2. Every other row ``a``, equality rows left without a free variable
    included, and the objective become ``a - sum_v a_v R_v / p_v`` in
-   one pass over the nonzeros of ``a``, in integers over the lcm of their
-   denominators (times ``|p_v|`` on an eliminated ``v``), and are
-   brought to lowest terms once.
+   one pass over the nonzeros of ``a`` and of each ``R_v`` it meets, in
+   integers over the lcm of their denominators (times ``|p_v|`` on an
+   eliminated ``v``), and are brought to lowest terms once.
 
 The result is the row that Gauss-Jordan steps into every row would
 leave.  That row is ``a`` plus a combination of the pivot rows that is
@@ -186,9 +190,13 @@ class LinearProgram:
                 if not (isinstance(j, int) and last < j < n):
                     raise InputError(f"constraint column {j!r} is out of order or not one "
                                      f"of the {n} variables")
+                if not isinstance(c, Fraction):
+                    raise InputError(f"constraint column {j} holds a value that is not a Fraction")
                 if not c:
                     raise InputError(f"constraint column {j} holds a zero entry")
                 last = j
+        if not all(isinstance(b, Fraction) for b in self.rhs):
+            raise InputError("every right side must be a Fraction")
         for rel in self.relations:
             if rel not in RELATIONS:
                 raise InputError(f"unknown relation {rel!r}")
@@ -196,8 +204,11 @@ class LinearProgram:
             raise InputError(f"unknown objective sense {self.sense!r}")
         if (self.objective is None) != (self.sense == FEASIBILITY):
             raise InputError("objective row must be present iff sense is not feasibility")
-        if self.objective is not None and len(self.objective) != n:
-            raise InputError("objective row has wrong length")
+        if self.objective is not None:
+            if len(self.objective) != n:
+                raise InputError("objective row has wrong length")
+            if not all(isinstance(c, Fraction) for c in self.objective):
+                raise InputError("every objective value must be a Fraction")
         if not self.entries and self.objective is None:
             raise InputError("program has neither constraints nor objective")
 
@@ -421,13 +432,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
 class _Program(NamedTuple):
     """A program after elimination, unvalidated (every variable may be
-    gone).  Each row is ``(nums, den)``: integers over one positive
-    denominator in lowest terms, right side last.  The objective is held
-    the same way, without a right side."""
+    gone).  Each row is ``(nums, den)``: ``nums`` maps a column to a
+    nonzero integer, the right side at column ``num_vars``, over one
+    positive denominator ``den`` in lowest terms.  The objective is
+    ``(nums, den)`` with ``nums`` a dense list of ``num_vars`` integers."""
 
     num_vars: int
     nonneg: tuple[bool, ...]
-    rows: tuple[tuple[list[int], int], ...]
+    rows: tuple[tuple[dict[int, int], int], ...]
     relations: tuple[str, ...]
     objective: tuple[list[int], int] | None
     sense: str
@@ -446,27 +458,25 @@ class _Elimination:
         nonzeros = lp.entries
 
         # stage 1: Gauss-Jordan on the equality rows alone, each as integers
-        # over one common denominator, right side last
-        rows = {i: _integer_entries(_with_rhs(nonzeros[i], lp.rhs[i], n), n + 1)
-                for i in equalities}
+        # over one common denominator, the right side at column n
+        rows = {i: _integer_entries(_with_rhs(nonzeros[i], lp.rhs[i], n)) for i in equalities}
         # the combination of original rows that each equality row has become,
         # as integer weights over one positive denominator
         combos = {i: ({i: 1}, 1) for i in equalities}
         for i in equalities:
             nums, den = rows[i]
-            v = next((j for j in free if nums[j]), None)
+            v = next((j for j in free if j in nums), None)
             if v is None:
                 continue
             free.remove(v)
             p = nums[v]
-            support = [(j, a) for j, a in enumerate(nums) if a]
             for k, (other, other_den) in rows.items():
-                f = other[v]
-                if not f or k == i:
+                f = other.get(v)
+                if f is None or k == i:
                     continue
                 # row k minus f*den / (other_den*p) times row i
                 combos[k] = _combine(combos[k], other_den * p, combos[i], f * den)
-                rows[k] = _eliminate(other, other_den, p, f, support)
+                rows[k] = _eliminate(other, other_den, p, f, nums)
             self.pivots.append((i, v))
 
         gone = {v for _, v in self.pivots}
@@ -485,25 +495,28 @@ class _Elimination:
         # With place[j] = (p, sparse), an entry c in column j adds c/p times
         # the (position, integer) list sparse over the kept columns and the
         # right side: a kept column adds itself, and an eliminated variable v
-        # adds -R_v/p_v, so that a - sum_v a_v R_v / p_v comes out
-        columns = (*kept, n)
+        # adds -R_v/p_v, so that a - sum_v a_v R_v / p_v comes out.  R_v is
+        # zero on every other eliminated variable, so each of its columns but
+        # v has a position
+        position = {j: k for k, j in enumerate((*kept, n))}
         place = [None] * (n + 1)
-        for k, j in enumerate(columns):
+        for j, k in position.items():
             place[j] = (1, [(k, 1)])
         for i, v in self.pivots:
             nums = rows[i][0]
-            place[v] = (nums[v], [(k, -nums[j]) for k, j in enumerate(columns) if nums[j]])
+            place[v] = (nums[v], [(position[j], -a) for j, a in nums.items() if j != v])
         objective = None
         if lp.objective is not None:
-            # an objective has no right side, so the last place stays 0
-            nums, den = _substitute([(j, c) for j, c in enumerate(lp.objective) if c],
-                                    place, len(columns))
-            objective = _lowest(nums[:-1], den)
+            # the substitution leaves a constant at the right side's position,
+            # which the objective drops
+            nums, den = _substitute([(j, c) for j, c in enumerate(lp.objective) if c], place)
+            nums.pop(len(kept), None)
+            nums, den = _lowest(nums, den)
+            objective = [nums.get(k, 0) for k in range(len(kept))], den
         self.reduced = _Program(
             len(kept),
             tuple(lp.nonneg[j] for j in kept),
-            tuple(_lowest(*_substitute(_with_rhs(nonzeros[i], lp.rhs[i], n), place,
-                                       len(columns)))
+            tuple(_lowest(*_substitute(_with_rhs(nonzeros[i], lp.rhs[i], n), place))
                   for i in self.kept_rows),
             tuple(lp.relations[i] for i in self.kept_rows),
             objective,
@@ -529,19 +542,20 @@ class _Elimination:
     def _lift(self, values, homogeneous):
         """Fill in each eliminated variable from its row, in integers: with
         the kept values as ``X/D``, ``x_v = (b*D - sum_j a_j X_j) / (p*D)``
-        (``b`` left out for a ray)."""
-        x = [_ZERO] * self.lp.num_vars
+        (``b`` left out for a ray).  With ``X`` 0 off the kept variables and
+        ``-D`` (0 for a ray) at the right side, the row's ``sum a X`` is
+        minus that numerator."""
+        n = self.lp.num_vars
+        x = [_ZERO] * n
+        ints = [0] * (n + 1)
+        den = lcm(*(value.denominator for value in values))
         for j, value in zip(self.kept_vars, values):
             x[j] = value
-        den = lcm(*(value.denominator for value in values))
-        support = [(j, value.numerator * (den // value.denominator))
-                   for j, value in zip(self.kept_vars, values) if value]
+            ints[j] = value.numerator * (den // value.denominator)
+        ints[n] = 0 if homogeneous else -den
         for i, v in self.pivots:
             nums = self.solved[i][0]
-            total = 0 if homogeneous else nums[-1] * den
-            for j, a in support:
-                total -= nums[j] * a
-            x[v] = Fraction(total, nums[v] * den)
+            x[v] = Fraction(-sum(a * ints[j] for j, a in nums.items()), nums[v] * den)
         return tuple(x)
 
     def _multipliers(self, reduced, target, signed):
@@ -572,15 +586,12 @@ class _Elimination:
         return tuple(y)
 
 
-def _integer_entries(nonzeros, width):
-    """The ``(column, rational)`` pairs as a dense list of ``width``
-    integers over their least common denominator, which is the positive
-    denominator that puts them in lowest terms."""
+def _integer_entries(nonzeros):
+    """The ``(column, rational)`` pairs as ``{column: integer}`` over their
+    least common denominator, which is the positive denominator that puts
+    them in lowest terms."""
     den = lcm(*(c.denominator for _, c in nonzeros))
-    nums = [0] * width
-    for j, c in nonzeros:
-        nums[j] = c.numerator * (den // c.denominator)
-    return nums, den
+    return {j: c.numerator * (den // c.denominator) for j, c in nonzeros}, den
 
 
 def _with_rhs(nonzeros, b, column):
@@ -598,14 +609,7 @@ def _combine(first, u, second, w):
     factor = w * den
     for l, t in other.items():
         out[l] = out.get(l, 0) - factor * t
-    den *= scale
-    g = gcd(den, *out.values())
-    if den < 0:
-        g = -g
-    if g != 1:
-        out = {l: t // g for l, t in out.items()}
-        den //= g
-    return out, den
+    return _lowest(out, den * scale)
 
 
 def _integer_row(values):
@@ -616,23 +620,25 @@ def _integer_row(values):
 
 
 def _lowest(nums, den):
-    """``nums/den`` in lowest terms, with a positive denominator."""
-    g = gcd(den, *nums)
+    """The row ``nums/den``, ``{column: integer}`` over a nonzero
+    denominator, in lowest terms with a positive denominator and without
+    zero entries."""
+    g = gcd(den, *nums.values())
     if den < 0:
         g = -g
-    if g != 1:
-        nums = [a // g for a in nums]
+    if g != 1 or not all(nums.values()):
+        nums = {j: a // g for j, a in nums.items() if a}
         den //= g
     return nums, den
 
 
-def _substitute(nonzeros, place, width):
-    """The nonzero ``(column, rational)`` pairs carried over to ``width``
-    positions as integers over one positive denominator, not yet in lowest
-    terms: each ``c`` at column j with ``place[j] = (p, sparse)`` adds
-    ``c/p * r`` at position k for every ``(k, r)`` in ``sparse``.  The
-    denominator is the lcm of the ``c.denominator * p``, so every weight
-    is an integer."""
+def _substitute(nonzeros, place):
+    """The nonzero ``(column, rational)`` pairs carried over to new
+    positions as ``{position: integer}`` over one positive denominator,
+    not yet in lowest terms: each ``c`` at column j with
+    ``place[j] = (p, sparse)`` adds ``c/p * r`` at position k for every
+    ``(k, r)`` in ``sparse``.  The denominator is the lcm of the
+    ``c.denominator * p``, so every weight is an integer."""
     terms = []
     den = 1
     for j, c in nonzeros:
@@ -641,23 +647,23 @@ def _substitute(nonzeros, place, width):
         terms.append((c.numerator, d, sparse))
         if den % d:
             den = lcm(den, d)
-    out = [0] * width
+    out = {}
     for a, d, sparse in terms:
         w = a * (den // d)
         for k, r in sparse:
-            out[k] += w * r
+            out[k] = out.get(k, 0) + w * r
     return out, den
 
 
-def _eliminate(nums, den, p, f, support):
+def _eliminate(nums, den, p, f, pivot):
     """The row ``nums/den``, whose numerator on the pivot variable is
     ``f``, minus the multiple of the pivot row that cancels that entry.
-    ``support`` lists the pivot row's nonzero integer entries and ``p`` is
-    the one on the pivot variable; the denominators cancel, so the result
-    is ``(p*nums - f*pivot) / (p*den)``, returned in lowest terms."""
-    out = [p * a for a in nums]
-    for j, a in support:
-        out[j] -= f * a
+    ``pivot`` holds the pivot row's integer entries and ``p`` is the one on
+    the pivot variable; the denominators cancel, so the result is
+    ``(p*nums - f*pivot) / (p*den)``, returned in lowest terms."""
+    out = {j: p * a for j, a in nums.items()}
+    for j, a in pivot.items():
+        out[j] = out.get(j, 0) - f * a
     return _lowest(out, den * p)
 
 
@@ -668,60 +674,46 @@ def _eliminate(nums, den, p, f, support):
 def _generate_rows(lp):
     """Run the simplex on a working set of rows that starts as the
     equality rows and grows by the inequality rows that the current point
-    or ray violates most, until no row outside it is violated.  The
-    sparse integer view of the rows is built once and read by the scan
-    and by every round's simplex."""
-    pairs = _sparse_rows(lp)
+    or ray violates most, until no row outside it is violated."""
     ineq_rows = [i for i, rel in enumerate(lp.relations) if rel != "="]
-    scan = _ScanCache(lp, ineq_rows, pairs)
     working = {i for i, rel in enumerate(lp.relations) if rel == "="}
     for _ in range(len(ineq_rows) + 1):
-        simplex = _Simplex(lp, sorted(working), pairs)
+        simplex = _Simplex(lp, sorted(working))
         outcome = simplex.run()
         if isinstance(outcome, Infeasible):
             return outcome
         if isinstance(outcome, Unbounded):
             # clip the ray with rows it escapes through, or accept it once a
             # fully feasible point confirms unboundedness
-            violated = scan.violated((*outcome.ray, 0), working)
+            violated = _violated(lp, ineq_rows, (*outcome.ray, 0), working)
             if violated:
                 working.update(violated)
                 continue
-        violated = scan.violated((*simplex.point, -1), working)
+        violated = _violated(lp, ineq_rows, (*simplex.point, -1), working)
         if not violated:
             return outcome
         working.update(violated)
     raise InternalError("row generation failed to converge")
 
 
-def _sparse_rows(lp):
-    """Each row of a reduced program as the ``(column, integer)`` pairs of
-    its nonzero numerators, in column order, the right side at column
-    ``num_vars``."""
-    return [[(j, a) for j, a in enumerate(nums) if a] for nums, _ in lp.rows]
-
-
-class _ScanCache:
-    """Sparse integer rows for fast exact violation scans."""
-
-    def __init__(self, lp, row_indices, pairs):
-        self.entries = [(i, lp.relations[i], pairs[i], lp.rows[i][1]) for i in row_indices]
-
-    def violated(self, vec, working):
-        """The rows outside ``working`` that ``vec`` violates, most violated
-        first, at most ``_LAZY_BATCH`` of them.  ``vec`` is a point followed
-        by -1, or a ray followed by 0, so that a row's integers, right side
-        last, give its gap ``a.x - b`` (for a ray, the drift ``a.d``)."""
-        nums, den = _integer_row(vec)
-        found = []
-        for i, rel, sparse, row_den in self.entries:
-            if i in working:
-                continue
-            gap = sum(a * nums[j] for j, a in sparse)
-            if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0):
-                found.append((Fraction(abs(gap), row_den * den), i))
-        most = heapq.nsmallest(_LAZY_BATCH, found, key=lambda t: (-t[0], t[1]))
-        return [i for _, i in most]
+def _violated(lp, rows, vec, working):
+    """The rows listed in ``rows`` but outside ``working`` that ``vec``
+    violates, most violated first, at most ``_LAZY_BATCH`` of them.
+    ``vec`` is a point followed by -1, or a ray followed by 0, so that a
+    row's integers, right side last, give its gap ``a.x - b`` (for a ray,
+    the drift ``a.d``)."""
+    nums, den = _integer_row(vec)
+    found = []
+    for i in rows:
+        if i in working:
+            continue
+        sparse, row_den = lp.rows[i]
+        gap = sum(a * nums[j] for j, a in sparse.items())
+        rel = lp.relations[i]
+        if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0):
+            found.append((Fraction(abs(gap), row_den * den), i))
+    most = heapq.nsmallest(_LAZY_BATCH, found, key=lambda t: (-t[0], t[1]))
+    return [i for _, i in most]
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +723,9 @@ class _ScanCache:
 class _Simplex:
     """Two-phase simplex on a subset of rows, over scaled integers.
 
-    The tableau is condensed: a row holds one entry per stored nonbasic
+    The working rows are read once, from the program's sparse rows, into
+    the starting columns ``g`` below; the tableau built from them is
+    dense.  It is condensed: a row holds one entry per stored nonbasic
     column, in the order of ``self.nonbasic`` (original column numbers),
     and the right side last; a basic column is implicit, ``self.delta``
     in its own row and 0 elsewhere, the reduced costs included.  The
@@ -780,11 +774,9 @@ class _Simplex:
     always stands for both halves.
     """
 
-    def __init__(self, lp, row_indices, pairs=None):
+    def __init__(self, lp, row_indices):
         self.lp = lp
         self.row_indices = list(row_indices)
-        if pairs is None:
-            pairs = _sparse_rows(lp)
         n = lp.num_vars
 
         # the working rows column by column: columns[j][k] is constraint k's
@@ -793,7 +785,7 @@ class _Simplex:
         m = len(self.row_indices)
         columns = [[0] * m for _ in range(n + 1)]
         for k, i in enumerate(self.row_indices):
-            for j, a in pairs[i]:
+            for j, a in lp.rows[i][0].items():
                 columns[j][k] = a
 
         # structural columns: one per nonnegative variable, a (+,-) pair
@@ -884,7 +876,7 @@ class _Simplex:
             for k, i in enumerate(self.row_indices):
                 if self.art_col[k] >= 0:
                     flip = flips[k]
-                    for j, a in pairs[i]:
+                    for j, a in lp.rows[i][0].items():
                         obj1[j if j < n else -1] -= flip * a
             self.obj1 = obj1
 

@@ -17,7 +17,8 @@ both columns ``x+`` and ``x- = -x+`` of every free variable in its
 tableau, where the solver stores one slot per free variable.  The
 condensed-tableau oracle keeps a row for every basic column, where the
 solver stores only the rows of basic structural columns and derives the
-others from their constraints' starting rows.
+others from their constraints' starting rows.  Both simplex oracles read
+the presolve's sparse rows written out densely by ``dense_program``.
 """
 
 from __future__ import annotations
@@ -244,6 +245,15 @@ def _integers(values):
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
+def dense_program(prog):
+    """A reduced program of ``ptcompat.lp`` with each sparse row
+    ``({column: integer}, den)`` written out as the dense ``(nums, den)``
+    list of ``num_vars + 1`` integers, right side last."""
+    width = prog.num_vars + 1
+    return prog._replace(rows=tuple(([nums.get(j, 0) for j in range(width)], den)
+                                    for nums, den in prog.rows))
+
+
 def reduce_program(prog):
     """The presolve of ``ptcompat.lp`` by dense Gauss-Jordan in plain
     ``Fraction`` arithmetic: equality rows in index order, each pivoting
@@ -294,7 +304,7 @@ class TwoColumnSimplex:
     """The two-phase Bland's-rule simplex of ``ptcompat.lp`` with both
     structural columns of every free variable kept in the condensed
     integer tableau, where the solver stores one.  Takes the same reduced
-    program (rows as ``(nums, den)``, right side last) and row subset;
+    program and row subset, and reads its rows through ``dense_program``;
     ``pivots`` records each pivot as (row, entering original column), and
     ``run`` returns ``("Optimal", point, value, duals)``,
     ``("Infeasible", farkas)`` or ``("Unbounded", ray)``, with ``point``
@@ -320,8 +330,9 @@ class TwoColumnSimplex:
         self.art_col = [-1] * m
         self.scale = [0] * m
         structural, rhs, slack_signs = [], [], []
+        dense = dense_program(lp).rows
         for k, i in enumerate(self.row_indices):
-            nums, den = lp.rows[i]
+            nums, den = dense[i]
             rel = lp.relations[i]
             b = nums[-1]
             if rel == "<=":
@@ -505,7 +516,8 @@ class CondensedSimplex:
     """The two-phase simplex of ``ptcompat.lp`` on the full condensed
     tableau: one stored row for every basic column, slacks and
     artificials included, each updated by every pivot.  It takes the same
-    reduced program and row subset, and returns the same outcomes.  The
+    reduced program and row subset, reads the rows through
+    ``dense_program``, and returns the same outcomes.  The
     rest of this docstring and the code are the solver's as they were
     before it derived the rows of basic slacks and artificials.
 
@@ -557,8 +569,9 @@ class CondensedSimplex:
         structural = []
         rhs = []
         slack_signs = []
+        dense = dense_program(lp).rows
         for k, i in enumerate(self.row_indices):
-            nums, den = lp.rows[i]
+            nums, den = dense[i]
             rel = lp.relations[i]
             b = nums[-1]
             if rel == "<=":

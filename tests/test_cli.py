@@ -261,6 +261,19 @@ def test_estimate_negative_samples_exits_2():
     assert "at least 0" in res.output
 
 
+def test_sample_limit_exit_2(monkeypatch):
+    # a small synthetic limit around 3 samples
+    def undrawn(*args):
+        raise AssertionError("a refused estimate must not draw an observable")
+
+    monkeypatch.setattr(compat, "MAX_SAMPLES", 3)
+    assert invoke("estimate-index", "classical:2", "--samples", "3").exit_code == 0
+    monkeypatch.setattr(catalog, "random_observable", undrawn)
+    res = invoke("estimate-index", "classical:2", "--samples", "4")
+    assert res.exit_code == 2
+    assert "at most 3 sampled pairs" in res.stderr
+
+
 def test_estimate_on_a_one_state_theory_exits_2():
     # run in a child with a timeout, so that a hang fails instead of stalling
     env = dict(os.environ, PYTHONPATH=str(Path(ptcompat.__file__).parents[1]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ptcompat import catalog, cli, compat, lp, model
 from ptcompat.errors import HullRejection, InputError
 from oracles import (CondensedSimplex, TwoColumnSimplex, best_vertex_2var, certificate_ok,
-                     reduce_program, witness_marginals_ok)
+                     dense_program, reduce_program, witness_marginals_ok)
 
 F = Fraction
 
@@ -366,7 +367,7 @@ def test_reduced_programs_are_pinned():
     # the presolve's integers on three family programs, as the dense
     # Gauss-Jordan into every row left them
     def reduced(prog):
-        return repr(lp._Elimination(prog).reduced)
+        return repr(dense_program(lp._Elimination(prog).reduced))
 
     def digest(text):
         return hashlib.sha256(text.encode()).hexdigest()
@@ -720,7 +721,14 @@ def elimination_programs(draw):
 def test_elimination_matches_the_dense_oracle(prog):
     elimination = lp._Elimination(prog)
     reduced, pivots, kept_vars, kept_rows = reduce_program(prog)
-    assert tuple(elimination.reduced) == reduced
+    assert tuple(dense_program(elimination.reduced)) == reduced
+    # the dense form cannot show a stored zero: each sparse row holds only
+    # nonzero integers, at columns up to the right side's, in lowest terms
+    # over a positive denominator
+    width = elimination.reduced.num_vars + 1
+    for nums, den in elimination.reduced.rows:
+        assert all(type(a) is int and a and j in range(width) for j, a in nums.items())
+        assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
     assert elimination.pivots == pivots
     assert elimination.kept_vars == kept_vars
     assert elimination.kept_rows == kept_rows
@@ -776,15 +784,23 @@ def test_mapping_rows_refuse_columns_outside_the_program():
         with pytest.raises(InputError):
             lp.LinearProgram.create(2, [(coeffs, "<=", 1)])
     # built directly or copied, a row's pairs are checked the same way:
-    # unsorted, repeated, out of range, not an int column, zero-valued
+    # unsorted, repeated, out of range, not an int column, zero-valued, not
+    # a Fraction; so are the right sides and the objective
     good = lp.LinearProgram.create(2, [({0: 1}, "<=", 1)])
     assert good.entries == (((0, F(1)),),)
     for pairs in (((1, F(1)), (0, F(1))), ((0, F(1)), (0, F(2))), ((2, F(1)),),
-                  ((-1, F(1)),), (("0", F(1)),), ((0, F(0)),), ((0, F(1)), (1, F(0)))):
+                  ((-1, F(1)),), (("0", F(1)),), ((0, F(0)),), ((0, F(1)), (1, F(0))),
+                  ((0, 0.5),), ((0, "1/2"),)):
         with pytest.raises(InputError):
             lp.LinearProgram(2, (True, True), (pairs,), ("<=",), (F(1),), None, lp.FEASIBILITY)
         with pytest.raises(InputError):
             dataclasses.replace(good, entries=(pairs,))
+    for bad in (0.5, "1/2"):
+        with pytest.raises(InputError):
+            lp.LinearProgram(2, (True, True), good.entries, ("<=",), (bad,), None, lp.FEASIBILITY)
+        for changes in ({"rhs": (bad,)}, {"objective": (F(1), bad), "sense": lp.MAX}):
+            with pytest.raises(InputError):
+                dataclasses.replace(good, **changes)
 
 
 def test_verify_reads_the_rows_of_a_replaced_copy():
@@ -834,14 +850,15 @@ def test_solve_and_verify_never_read_the_dense_rows(monkeypatch):
 
 @st.composite
 def reduced_programs(draw):
-    """Programs in the solver's reduced form, many of whose variables are
-    free, with a subset of their rows as the working set."""
+    """Programs in the solver's reduced form, sparse rows included, many of
+    whose variables are free, with a subset of their rows as the working
+    set."""
     n = draw(st.integers(1, 5))
     nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     rows, relations = [], []
     for _ in range(draw(st.integers(1, 7))):
         nums = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
-        rows.append((nums, draw(st.integers(1, 3))))
+        rows.append(({j: a for j, a in enumerate(nums) if a}, draw(st.integers(1, 3))))
         relations.append(draw(st.sampled_from(["<=", "=", ">="])))
     sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
     objective = None
