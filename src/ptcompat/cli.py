@@ -233,8 +233,7 @@ def _run_estimate(config):
 
 
 def _run_qubit_disk(config):
-    step = float(frac(config.step))
-    rows = qubit.pauli_region(step)
+    rows = qubit.pauli_region(frac(config.step))
     return serialize.disk_grid_to_csv(rows), None
 
 

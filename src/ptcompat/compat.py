@@ -175,12 +175,9 @@ class _Grid:
         self.observables = observables
         self.theory = theory
         self.dim = theory.dim
+        # cell i's coefficients are variables i*dim up to (i + 1)*dim
         self.cells = list(itertools.product(*(range(len(m)) for m in observables)))
-        self.cell_pos = {c: i for i, c in enumerate(self.cells)}
         self.n_cell_vars = len(self.cells) * self.dim
-
-    def var(self, cell, coord):
-        return self.cell_pos[cell] * self.dim + coord
 
     def layout(self, axes):
         """Variables of the program where axis k has sharpness a_k + b_k*s.
@@ -215,11 +212,11 @@ def _family_program(grid, axes) -> lp.LinearProgram:
     No row states ``b_k*s <= 1``: the noise total with t >= 0 implies it.
     """
     noise, scale, n = grid.layout(axes)
-    unit = grid.theory.unit
+    unit, dim = grid.theory.unit, grid.dim
     rows = []  # each row as {column: value} over its nonzero entries
     for k, (m, (a, b)) in enumerate(zip(grid.observables, axes)):
         for j, effect in enumerate(m.effects):
-            group = [grid.var(c, 0) for c in grid.cells if c[k] == j]
+            group = [i * dim for i, c in enumerate(grid.cells) if c[k] == j]
             for r, mr in enumerate(effect.coeffs):
                 coeffs = {first + r: _ONE for first in group}
                 if noise[k] is not None and unit[r]:
@@ -235,8 +232,7 @@ def _family_program(grid, axes) -> lp.LinearProgram:
             rows.append((coeffs, "=", 1 - a))
     for point in grid.theory.extreme_points:
         support = [(r, xr) for r, xr in enumerate(point) if xr]
-        for cell in grid.cells:
-            first = grid.var(cell, 0)
+        for first in range(0, grid.n_cell_vars, dim):
             rows.append(({first + r: xr for r, xr in support}, ">=", _ZERO))
     objective = None
     if scale is not None:

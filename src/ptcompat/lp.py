@@ -9,7 +9,8 @@ A program over ``n`` variables:
                 x_j >= 0              for variables declared nonnegative
                 x_j free              otherwise
 
-All data are ``fractions.Fraction``; results are exact, never rounded.
+All data are exact rationals, ``fractions.Fraction`` at the interface;
+results are exact, never rounded.
 
 Outcomes
 --------
@@ -42,8 +43,9 @@ Outcomes
     the objective.
 
 ``verify`` re-checks any outcome against the program using exact
-arithmetic only (no re-solve), in an integer encoding of its own;
-``solve`` never returns an outcome that fails it.
+arithmetic only (no re-solve), in integers: it reads the program's
+stored rows and encodes the outcome itself; ``solve`` never returns an
+outcome that fails it.
 
 Determinism
 -----------
@@ -79,12 +81,15 @@ multipliers).
 
 Presolve
 --------
-A program stores each row once, as the ``(column, value)`` pairs of its
-nonzero entries in increasing column order (``entries``).  The dense
-``rows`` are derived from them on each read, for dumps and for checks
-made outside the package.  The presolve, the restoring of results and
-``verify`` read the pairs, so they visit only the entries that can
-matter and never build a dense row.
+A program stores each row once, as integers over one positive
+denominator in lowest terms (``entries``): the ``(column, integer)``
+pairs of its nonzero entries in increasing column order, the right side
+as the pair at column ``num_vars``.  ``create`` converts each row once.
+The dense Fraction ``rows`` and ``rhs`` are derived from the integers
+on each read, for dumps and for checks made outside the package.  The
+presolve, the restoring of results and ``verify`` read the stored
+integers as they are, so they visit only the entries that can matter,
+convert no Fraction of a row and never build a dense row.
 
 Free variables are eliminated through equality rows before the simplex
 runs, in two stages.  Every row that the stages build or leave is held
@@ -95,8 +100,8 @@ integers over one positive denominator, the start of the simplex's cost
 row.  These are the only encodings that the row scan and the simplex
 read: the simplex tableau starts from these integers.
 
-1. Gauss-Jordan on the equality rows alone, each first written over the
-   least common denominator of its entries.  They are taken in index
+1. Gauss-Jordan on the equality rows alone, each a dict of its stored
+   integers over its stored denominator.  They are taken in index
    order; each one pivots on its first free variable with a nonzero
    coefficient, and an exact, fraction-free step substitutes that
    variable into every other equality row that holds it, visiting the
@@ -110,8 +115,8 @@ read: the simplex tableau starts from these integers.
 2. Every other row ``a``, equality rows left without a free variable
    included, and the objective become ``a - sum_v a_v R_v / p_v`` in
    one pass over the nonzeros of ``a`` and of each ``R_v`` it meets, in
-   integers over the lcm of their denominators (times ``|p_v|`` on an
-   eliminated ``v``), and are brought to lowest terms once.
+   integers over ``a``'s denominator times the lcm of the ``p_v`` it
+   meets, and are brought to lowest terms once.
 
 The result is the row that Gauss-Jordan steps into every row would
 leave.  That row is ``a`` plus a combination of the pivot rows that is
@@ -170,9 +175,8 @@ _ZERO = Fraction(0)
 class LinearProgram:
     num_vars: int
     nonneg: tuple[bool, ...]
-    entries: tuple[tuple[tuple[int, Fraction], ...], ...]
+    entries: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
     relations: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
     objective: tuple[Fraction, ...] | None
     sense: str
 
@@ -182,21 +186,23 @@ class LinearProgram:
             raise InputError("a linear program needs at least one variable")
         if len(self.nonneg) != n:
             raise InputError("bounds list does not match the variable count")
-        if not (len(self.entries) == len(self.relations) == len(self.rhs)):
+        if len(self.entries) != len(self.relations):
             raise InputError("constraint lists have mismatched lengths")
-        for row in self.entries:
-            last = -1
-            for j, c in row:
-                if not (isinstance(j, int) and last < j < n):
+        for pairs, den in self.entries:
+            if type(den) is not int or den < 1:
+                raise InputError(f"a row's denominator {den!r} is not a positive int")
+            last, g = -1, den
+            for j, a in pairs:
+                if not (isinstance(j, int) and last < j <= n):
                     raise InputError(f"constraint column {j!r} is out of order or not one "
-                                     f"of the {n} variables")
-                if not isinstance(c, Fraction):
-                    raise InputError(f"constraint column {j} holds a value that is not a Fraction")
-                if not c:
-                    raise InputError(f"constraint column {j} holds a zero entry")
+                                     f"of the {n} variables or the right side")
+                if type(a) is not int or not a:
+                    raise InputError(f"constraint column {j} holds {a!r}, not a nonzero int")
+                if g != 1:
+                    g = gcd(g, a)
                 last = j
-        if not all(isinstance(b, Fraction) for b in self.rhs):
-            raise InputError("every right side must be a Fraction")
+            if g != 1:
+                raise InputError("a constraint row is not in lowest terms")
         for rel in self.relations:
             if rel not in RELATIONS:
                 raise InputError(f"unknown relation {rel!r}")
@@ -222,44 +228,68 @@ class LinearProgram:
         leaves the others zero; both forms give the same program.
         ``nonneg`` is a single bool applied to all variables or one bool
         per variable.  Numeric entries may be ints, Fractions, or strings
-        like ``"2/3"``; Fractions are kept as they are.
+        like ``"2/3"``.  Each row is stored as integers over one
+        denominator, its right side at column ``num_vars``.
         """
         if isinstance(nonneg, bool):
             bounds = (nonneg,) * num_vars
         else:
             bounds = tuple(bool(b) for b in nonneg)
-        columns = range(num_vars)
-        entries, rels, rhs = [], [], []
+        columns = set(range(num_vars))
+        entries, rels = [], []
         for coeffs, rel, b in constraints:
             if isinstance(coeffs, Mapping):
+                # a stray column is refused, even at 0, and never read as the
+                # right side
+                if not coeffs.keys() <= columns:
+                    raise InputError(f"a constraint column is not one of the {num_vars} variables")
                 pairs = sorted(coeffs.items())
             elif len(coeffs) != num_vars:
                 raise InputError("constraint row has wrong length")
             else:
                 pairs = enumerate(coeffs)
-            row = []
-            for j, c in pairs:
-                c = _rational(c)
-                if c or j not in columns:  # a stray column is refused, even at 0
-                    row.append((j, c))
-            entries.append(tuple(row))
+            entries.append(_integer_pairs([*pairs, (num_vars, b)]))
             rels.append(rel)
-            rhs.append(_rational(b))
-        obj = None if objective is None else tuple(map(_rational, objective))
+        obj = None if objective is None else tuple(map(Fraction, objective))
         if sense is None:
             sense = FEASIBILITY if obj is None else MAX
-        return cls(num_vars, bounds, tuple(entries), tuple(rels), tuple(rhs), obj, sense)
+        return cls(num_vars, bounds, tuple(entries), tuple(rels), obj, sense)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The constraint rows as dense tuples, built from ``entries`` on
-        each read."""
-        return tuple(tuple(dict(pairs).get(j, _ZERO) for j in range(self.num_vars))
-                     for pairs in self.entries)
+        """The constraint rows as dense Fraction tuples, built from
+        ``entries`` on each read."""
+        dense = []
+        for pairs, den in self.entries:
+            values = dict(pairs)
+            dense.append(tuple(Fraction(values[j], den) if j in values else _ZERO
+                               for j in range(self.num_vars)))
+        return tuple(dense)
+
+    @property
+    def rhs(self) -> tuple[Fraction, ...]:
+        """The right sides as Fractions, built from ``entries`` on each
+        read."""
+        return tuple(Fraction(dict(pairs).get(self.num_vars, 0), den)
+                     for pairs, den in self.entries)
 
 
-def _rational(c):
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _integer_pairs(pairs):
+    """``(column, value)`` pairs as the ``(column, integer)`` pairs of their
+    nonzero values over the least common denominator, which is the positive
+    denominator that puts them in lowest terms.  Each value is read once."""
+    terms = []
+    den = 1
+    for j, c in pairs:
+        try:
+            a, d = c.as_integer_ratio()
+        except AttributeError:  # a string like "2/3"
+            a, d = Fraction(c).as_integer_ratio()
+        if a:
+            terms.append((j, a, d))
+            if den % d:
+                den = lcm(den, d)
+    return tuple([(j, a if d == den else a * (den // d)) for j, a, d in terms]), den
 
 
 @dataclass(frozen=True)
@@ -285,15 +315,15 @@ LpOutcome = Optimal | Infeasible | Unbounded
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome's certificate with exact arithmetic only.
 
-    The check keeps an integer encoding of its own, independent of the
-    one that ``solve`` reads: a point or ray is put over the least common
-    denominator of its entries, each row it meets over the lcm of the
-    denominators there (its right side's included), and multipliers over
-    their own lcm, so that every comparison is one between integers.
+    The check reads the program's stored integer rows, and encodes the
+    rest itself: a point or ray is put over the least common denominator
+    of its entries, and multipliers, each taken with its row's
+    denominator, over the lcm of those products, so that every comparison
+    is one between integers.  It reads no reduced row.
     """
     if isinstance(outcome, Optimal):
         point, duals = outcome.point, outcome.duals
-        if not _satisfies(lp, point, lp.rhs):
+        if not _satisfies(lp, point, homogeneous=False):
             return False
         if lp.objective is None:
             return outcome.value == 0 and duals is None
@@ -316,19 +346,19 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
         return bound is not None and bound < 0
     if isinstance(outcome, Unbounded):
         ray = outcome.ray
-        if lp.objective is None or not _satisfies(lp, ray, [_ZERO] * len(lp.relations)):
+        if lp.objective is None or not _satisfies(lp, ray, homogeneous=True):
             return False
         gain = _dot(lp.objective, ray)
         return gain > 0 if lp.sense == MAX else gain < 0
     return False
 
 
-def _satisfies(lp, vec, rhs):
+def _satisfies(lp, vec, homogeneous):
     """Whether ``vec`` has one entry per variable, keeps the sign bounds
-    and satisfies every row with ``rhs`` as its right sides.  With ``vec``
-    as integers ``x`` over ``D``, a row is checked on its nonzero terms
-    where ``x`` is nonzero too, scaled by the lcm ``L`` of their
-    denominators and its right side's: ``sum (a*L) x  REL  (b*L) D``."""
+    and satisfies every row, with right sides 0 if ``homogeneous`` (a
+    ray).  With ``vec`` as integers ``X`` over ``D`` and ``-D`` (0 for a
+    ray) at the right side's column, a stored row's ``sum a X`` is its gap
+    ``a.x - b`` times the positive ``D`` and row denominator."""
     if len(vec) != lp.num_vars:
         return False
     for x, nn in zip(vec, lp.nonneg):
@@ -336,23 +366,14 @@ def _satisfies(lp, vec, rhs):
             return False
     den = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (den // x.denominator) for x in vec]
-    for nonzeros, rel, b in zip(lp.entries, lp.relations, rhs):
-        scale = b.denominator
-        terms = []
-        for j, a in nonzeros:
+    ints.append(0 if homogeneous else -den)
+    for (pairs, _), rel in zip(lp.entries, lp.relations):
+        gap = 0
+        for j, a in pairs:
             x = ints[j]
             if x:
-                d = a.denominator
-                terms.append((a.numerator, d, x))
-                if scale % d:
-                    scale = lcm(scale, d)
-        lhs = sum(n * (scale // d) * x for n, d, x in terms)
-        target = b.numerator * (scale // b.denominator) * den
-        if rel == "<=" and lhs > target:
-            return False
-        if rel == ">=" and lhs < target:
-            return False
-        if rel == "=" and lhs != target:
+                gap += a * x
+        if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0) or (rel == "=" and gap):
             return False
     return True
 
@@ -364,42 +385,31 @@ def _dual_bound(lp, y, c):
     ``A^T y == c`` on free ones.  Then ``c . x <= b . y`` for every
     feasible ``x``.
 
-    In integers: ``y`` over its lcm ``D``, each row with a nonzero
-    multiplier over its own lcm ``L_i``, so ``A^T y`` and ``b . y`` are
-    integers over ``D * lcm(L_i)``.  (The lcm of the single denominators
-    would not do: the denominator of a product ``y_i a_ij`` need not
-    divide it.)"""
+    In integers: row i is its integers over ``den_i``, so it enters with
+    the weight ``y_i / den_i``; over the lcm ``D`` of those weights'
+    denominators, ``A^T y`` and ``b . y`` (the right side's column) are
+    integers over ``D``."""
     used = []
-    for v, nonzeros, rel, b in zip(y, lp.entries, lp.relations, lp.rhs):
+    for v, (pairs, den), rel in zip(y, lp.entries, lp.relations):
         if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
             return None
         if v:
-            used.append((v, nonzeros, b))
-    y_den = lcm(*(v.denominator for v, _, _ in used))
-    encoded = []
-    rows_den = 1
-    for v, nonzeros, b in used:
-        scale = lcm(b.denominator, *(a.denominator for _, a in nonzeros))
-        rows_den = lcm(rows_den, scale)
-        encoded.append((v.numerator * (y_den // v.denominator), scale,
-                        [(j, a.numerator * (scale // a.denominator)) for j, a in nonzeros],
-                        b.numerator * (scale // b.denominator)))
-    combined = [0] * lp.num_vars
-    bound = 0
-    for u, scale, sparse, b in encoded:
-        w = u * (rows_den // scale)
-        for j, a in sparse:
+            used.append((v.numerator, v.denominator * den, pairs))
+    scale = lcm(*(d for _, d, _ in used))
+    combined = [0] * (lp.num_vars + 1)
+    for u, d, pairs in used:
+        w = u * (scale // d)
+        for j, a in pairs:
             combined[j] += w * a
-        bound += w * b
-    den = y_den * rows_den
+    bound = combined.pop()
     for r, cj, nn in zip(combined, c, lp.nonneg):
-        r, target = r * cj.denominator, cj.numerator * den
+        r, target = r * cj.denominator, cj.numerator * scale
         if nn:
             if r < target:
                 return None
         elif r != target:
             return None
-    return Fraction(bound, den)
+    return Fraction(bound, scale)
 
 
 def _dot(row, vec):
@@ -455,11 +465,11 @@ class _Elimination:
         n = lp.num_vars
         free = [j for j, nn in enumerate(lp.nonneg) if not nn]
         equalities = [i for i, rel in enumerate(lp.relations) if rel == "="]
-        nonzeros = lp.entries
+        entries = lp.entries
 
         # stage 1: Gauss-Jordan on the equality rows alone, each as integers
         # over one common denominator, the right side at column n
-        rows = {i: _integer_entries(_with_rhs(nonzeros[i], lp.rhs[i], n)) for i in equalities}
+        rows = {i: (dict(entries[i][0]), entries[i][1]) for i in equalities}
         # the combination of original rows that each equality row has become,
         # as integer weights over one positive denominator
         combos = {i: ({i: 1}, 1) for i in equalities}
@@ -509,15 +519,14 @@ class _Elimination:
         if lp.objective is not None:
             # the substitution leaves a constant at the right side's position,
             # which the objective drops
-            nums, den = _substitute([(j, c) for j, c in enumerate(lp.objective) if c], place)
+            nums, den = _substitute(_integer_pairs(enumerate(lp.objective)), place)
             nums.pop(len(kept), None)
             nums, den = _lowest(nums, den)
             objective = [nums.get(k, 0) for k in range(len(kept))], den
         self.reduced = _Program(
             len(kept),
             tuple(lp.nonneg[j] for j in kept),
-            tuple(_lowest(*_substitute(_with_rhs(nonzeros[i], lp.rhs[i], n), place))
-                  for i in self.kept_rows),
+            tuple(_lowest(*_substitute(entries[i], place)) for i in self.kept_rows),
             tuple(lp.relations[i] for i in self.kept_rows),
             objective,
             lp.sense,
@@ -571,8 +580,9 @@ class _Elimination:
         for i, value in zip(self.kept_rows, reduced):
             if value:
                 y[i] = value
-                weight = -value if signed and lp.relations[i] == ">=" else value
-                for j, a in lp.entries[i]:
+                pairs, den = lp.entries[i]
+                weight = (-value if signed and lp.relations[i] == ">=" else value) / den
+                for j, a in pairs:
                     if j in missing:
                         missing[j] -= weight * a
         for i, v in self.pivots:
@@ -584,19 +594,6 @@ class _Elimination:
                 for l, t in weights.items():
                     y[l] += z * t
         return tuple(y)
-
-
-def _integer_entries(nonzeros):
-    """The ``(column, rational)`` pairs as ``{column: integer}`` over their
-    least common denominator, which is the positive denominator that puts
-    them in lowest terms."""
-    den = lcm(*(c.denominator for _, c in nonzeros))
-    return {j: c.numerator * (den // c.denominator) for j, c in nonzeros}, den
-
-
-def _with_rhs(nonzeros, b, column):
-    """A row's nonzeros with its right side ``b`` appended at ``column``."""
-    return (*nonzeros, (column, b)) if b else nonzeros
 
 
 def _combine(first, u, second, w):
@@ -632,27 +629,26 @@ def _lowest(nums, den):
     return nums, den
 
 
-def _substitute(nonzeros, place):
-    """The nonzero ``(column, rational)`` pairs carried over to new
-    positions as ``{position: integer}`` over one positive denominator,
-    not yet in lowest terms: each ``c`` at column j with
-    ``place[j] = (p, sparse)`` adds ``c/p * r`` at position k for every
-    ``(k, r)`` in ``sparse``.  The denominator is the lcm of the
-    ``c.denominator * p``, so every weight is an integer."""
-    terms = []
-    den = 1
-    for j, c in nonzeros:
-        p, sparse = place[j]
-        d = c.denominator * p
-        terms.append((c.numerator, d, sparse))
-        if den % d:
-            den = lcm(den, d)
+def _substitute(row, place):
+    """The integer row ``(pairs, den)`` carried over to new positions as
+    ``{position: integer}`` over one positive denominator, not yet in
+    lowest terms: each ``a`` at column j with ``place[j] = (p, sparse)``
+    adds ``a/p * r`` at position k for every ``(k, r)`` in ``sparse``.  The
+    denominator is ``den`` times the lcm of the ``p``, so every weight is
+    an integer."""
+    pairs, den = row
+    scale = 1
+    for j, _ in pairs:
+        p = place[j][0]
+        if scale % p:
+            scale = lcm(scale, p)
     out = {}
-    for a, d, sparse in terms:
-        w = a * (den // d)
+    for j, a in pairs:
+        p, sparse = place[j]
+        w = a * (scale // p)
         for k, r in sparse:
             out[k] = out.get(k, 0) + w * r
-    return out, den
+    return out, den * scale
 
 
 def _eliminate(nums, den, p, f, pivot):

@@ -50,17 +50,22 @@ def disk_member(lam: float, mu: float, tol: float = TOLERANCE) -> bool:
     return lam * lam + mu * mu <= 1 + tol
 
 
-def pauli_region(step: float):
+def pauli_region(step):
     """Grid evaluation of the quadrant disk over [0, 1]^2.
 
     Returns (lam, mu, member) rows, CSV-exportable, with both axes
     running over multiples of ``step`` up to 1, at most MAX_GRID_SIDE
-    values each.
+    values each.  ``step`` is a float or an exact rational in (0, 1]; a
+    rational's range is checked before it is rounded to a float.
     """
     if step <= 0:
         raise InputError("grid step must be positive")
-    if 1 / step + 0.5 >= MAX_GRID_SIDE:
+    if step > 1:
+        raise InputError("grid step must be at most 1")
+    # the exact test comes first, so no step that reaches float() rounds to 0
+    if step * MAX_GRID_SIDE < 1 or 1 / float(step) + 0.5 >= MAX_GRID_SIDE:
         raise InputError(f"grid step too small: at most {MAX_GRID_SIDE} values per axis")
+    step = float(step)
     count = int(math.floor(1 / step + 0.5)) + 1
     rows = []
     for i in range(count):

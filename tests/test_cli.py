@@ -214,6 +214,19 @@ def test_size_limits_exit_2(args):
     assert "at most" in res.stderr
 
 
+@pytest.mark.parametrize("step, message", [
+    ("1e400", "grid step must be at most 1"),
+    ("3/2", "grid step must be at most 1"),
+    ("1e-400", "grid step too small: at most 1001 values per axis"),
+    ("0", "grid step must be positive"),
+    ("-1/2", "grid step must be positive"),
+], ids=["1e400", "3/2", "1e-400", "0", "-1/2"])
+def test_qubit_disk_step_out_of_range_exit_2(step, message):
+    res = invoke("qubit", "disk", "--step", step)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
+
+
 def test_grid_size_limit_exit_2(monkeypatch):
     # small synthetic limits around the 4 cells of X Y
     def unbuilt(*args):

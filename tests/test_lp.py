@@ -759,6 +759,15 @@ def rows_in_both_forms(draw):
     return n, dense, mapped, dict(objective=objective, sense=sense, nonneg=nonneg)
 
 
+def integer_row(coeffs, b):
+    """A dense row and its right side as the stored integer row: the
+    nonzero values over their least common denominator, the right side at
+    the column after the last variable."""
+    values = [F(c) for c in (*coeffs, b)]
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple((j, int(v * den)) for j, v in enumerate(values) if v), den
+
+
 @EXAMPLES
 @given(rows_in_both_forms())
 def test_mapping_rows_give_the_same_program(case):
@@ -767,11 +776,15 @@ def test_mapping_rows_give_the_same_program(case):
     same = lp.LinearProgram.create(n, mapped, **options)
     assert same == prog
     assert lp.lp_to_text(same) == lp.lp_to_text(prog)
-    # the stored pairs are the nonzeros of the dense rows, which the derived
-    # view gives back, and a copy keeps them
-    assert prog.entries == tuple(tuple((j, F(c)) for j, c in enumerate(coeffs) if c)
-                                 for coeffs, _, _ in dense)
+    # each stored row holds the nonzeros of the dense row and its right
+    # side as integers over one denominator in lowest terms, which the
+    # derived views give back exactly, and a copy keeps them
+    assert prog.entries == tuple(integer_row(coeffs, b) for coeffs, _, b in dense)
+    for pairs, den in prog.entries:
+        assert all(type(a) is int for _, a in pairs)
+        assert type(den) is int and den > 0 and math.gcd(den, *(a for _, a in pairs)) == 1
     assert prog.rows == tuple(tuple(map(F, coeffs)) for coeffs, _, _ in dense)
+    assert prog.rhs == tuple(F(b) for _, _, b in dense)
     assert same.entries == prog.entries == dataclasses.replace(same).entries
     out, again = lp.solve(prog), lp.solve(same)
     assert out == again
@@ -779,38 +792,67 @@ def test_mapping_rows_give_the_same_program(case):
         assert out.duals == again.duals
 
 
+def test_rows_read_back_the_given_right_sides():
+    prog = lp.LinearProgram.create(2, [({0: 1}, "<=", F(7, 3)), ([F(1, 2), 0], "=", 0),
+                                       ({1: "-2/5"}, ">=", "-4"), ((3, 6), "<=", "3/2")])
+    assert prog.rhs == (F(7, 3), F(0), F(-4), F(3, 2))
+    assert prog.entries == ((((0, 3), (2, 7)), 3), (((0, 1),), 2),
+                            (((1, -2), (2, -20)), 5), (((0, 6), (1, 12), (2, 3)), 2))
+    assert prog.rows == ((F(1), F(0)), (F(1, 2), F(0)), (F(0), F(-2, 5)), (F(3), F(6)))
+
+
 def test_mapping_rows_refuse_columns_outside_the_program():
-    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {2: 0}):
+    # column 2 is where the right side is stored: with a right side of 0, a
+    # stray entry there must still be refused, not read as the right side
+    for coeffs in ({2: 1}, {0: 1, 2: 5}):
+        with pytest.raises(InputError):
+            lp.LinearProgram.create(2, [(coeffs, "<=", 0)])
+    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {2: 0}, {0: 1, 2: 0}):
         with pytest.raises(InputError):
             lp.LinearProgram.create(2, [(coeffs, "<=", 1)])
     # built directly or copied, a row's pairs are checked the same way:
-    # unsorted, repeated, out of range, not an int column, zero-valued, not
-    # a Fraction; so are the right sides and the objective
+    # unsorted, repeated, out of range, not an int column, zero-valued, a
+    # value that is not an int (the right side's included), a denominator
+    # that is not a positive int, a row not in lowest terms
     good = lp.LinearProgram.create(2, [({0: 1}, "<=", 1)])
-    assert good.entries == (((0, F(1)),),)
-    for pairs in (((1, F(1)), (0, F(1))), ((0, F(1)), (0, F(2))), ((2, F(1)),),
-                  ((-1, F(1)),), (("0", F(1)),), ((0, F(0)),), ((0, F(1)), (1, F(0))),
-                  ((0, 0.5),), ((0, "1/2"),)):
+    assert good.entries == ((((0, 1), (2, 1)), 1),)
+    bad_rows = [((pairs, 1),) for pairs in (
+        ((1, 1), (0, 1)), ((0, 1), (0, 2)), ((2, 1), (0, 1)), ((3, 1),), ((-1, 1),),
+        (("0", 1),), ((0, 0),), ((0, 1), (1, 0)), ((0, 1), (2, 0)),
+        ((0, 0.5),), ((0, "1/2"),), ((0, F(1)),), ((0, F(1, 2)),), ((0, True),),
+        ((2, 0.5),), ((2, "1/2"),), ((2, F(1)),))]
+    bad_rows += [((((0, 1),), den),) for den in (0, -1, -3, 1.0, F(1), True, "1", None)]
+    bad_rows += [((((0, 2), (2, 4)), 2),), ((((0, 3),), 6),), ((((0, -2), (1, 4)), 2),)]
+    for entries in bad_rows:
         with pytest.raises(InputError):
-            lp.LinearProgram(2, (True, True), (pairs,), ("<=",), (F(1),), None, lp.FEASIBILITY)
+            lp.LinearProgram(2, (True, True), entries, ("<=",), None, lp.FEASIBILITY)
         with pytest.raises(InputError):
-            dataclasses.replace(good, entries=(pairs,))
+            dataclasses.replace(good, entries=entries)
+    with pytest.raises(InputError):  # one relation per row
+        dataclasses.replace(good, entries=good.entries * 2)
     for bad in (0.5, "1/2"):
         with pytest.raises(InputError):
-            lp.LinearProgram(2, (True, True), good.entries, ("<=",), (bad,), None, lp.FEASIBILITY)
-        for changes in ({"rhs": (bad,)}, {"objective": (F(1), bad), "sense": lp.MAX}):
-            with pytest.raises(InputError):
-                dataclasses.replace(good, **changes)
+            dataclasses.replace(good, objective=(F(1), bad), sense=lp.MAX)
+    with pytest.raises(TypeError):  # the right sides live in the rows
+        dataclasses.replace(good, rhs=(F(1),))
 
 
 def test_verify_reads_the_rows_of_a_replaced_copy():
     prog = lp.LinearProgram.create(2, [({0: 1, 1: 1}, "<=", 4)], objective=(1, 1))
     out = lp.solve(prog)
     assert out.value == 4 and lp.verify(prog, out)
-    tighter = dataclasses.replace(prog, entries=(((0, F(2)), (1, F(2))),))
-    assert tighter.rows == ((F(2), F(2)),)
+    assert prog.entries == ((((0, 1), (1, 1), (2, 4)), 1),)
+    tighter = dataclasses.replace(prog, entries=((((0, 2), (1, 2), (2, 4)), 1),))
+    assert tighter.rows == ((F(2), F(2)),) and tighter.rhs == (F(4),)
     assert not lp.verify(tighter, out)  # 2x + 2y = 8 > 4
     assert lp.verify(dataclasses.replace(tighter, entries=prog.entries), out)
+    # the same row over 3: the point still holds, and the dual must be 3
+    thirds = dataclasses.replace(prog, entries=((((0, 1), (1, 1), (2, 4)), 3),))
+    assert thirds.rows == ((F(1, 3), F(1, 3)),) and thirds.rhs == (F(4, 3),)
+    assert not lp.verify(thirds, out)
+    again = lp.solve(thirds)
+    assert again == out and again.duals == (F(3),) and lp.verify(thirds, again)
+    assert not lp.verify(prog, again)  # b . y = 12
 
 
 def test_solve_and_verify_never_read_the_dense_rows(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -84,6 +85,13 @@ def test_region_step_validation():
     # one value past the limit per axis is refused before any row is built
     side = qubit.MAX_GRID_SIDE
     assert len(qubit.pauli_region(1 / (side - 1))) == side * side
-    for step in (1 / side, 1e-5, 5e-324):
+    for step in (1 / side, 1e-5, 5e-324, Fraction(1, side), Fraction(1, 10**400)):
         with pytest.raises(InputError, match="grid step too small"):
             qubit.pauli_region(step)
+    # an exact step is checked before it is rounded to a float
+    for step in (Fraction(3, 2), Fraction(10**400), 1.5):
+        with pytest.raises(InputError, match="grid step must be at most 1"):
+            qubit.pauli_region(step)
+    with pytest.raises(InputError, match="grid step must be positive"):
+        qubit.pauli_region(Fraction(-1, 10**400))
+    assert qubit.pauli_region(Fraction(1, 4)) == qubit.pauli_region(0.25)
