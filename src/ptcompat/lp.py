@@ -38,10 +38,6 @@ Outcomes
     must pass the ``max`` dual conditions above for the objective
     ``c = 0``, with bound ``beta < 0`` in place of ``beta == value``.
 
-``Unbounded(ray)``
-    A recession direction of the feasible set that strictly improves
-    the objective.
-
 ``verify`` re-checks any outcome against the program using exact
 arithmetic only (no re-solve), in integers: it reads the program's
 stored rows and encodes the outcome itself; ``solve`` never returns an
@@ -73,11 +69,13 @@ of the full tableau: the integers they compare are the full tableau's.
 This is only a faster encoding of the same rationals and the interface
 stays Fraction end to end.  Every program is solved by row generation:
 the simplex first runs on the equality rows alone, and each round adds
-the inequality rows that its point (or ray) violates most, ties broken
-by row index, until no row is violated.  So the rows taken in do not
-depend on where the inequality rows sit, and certificates returned for
-the full program remain exact (rows never taken in carry zero
-multipliers).
+the inequality rows that its point violates most, ties broken by row
+index, until no row is violated.  So the rows taken in do not depend on
+where the inequality rows sit, and certificates returned for the full
+program remain exact (rows never taken in carry zero multipliers).  A
+working set that leaves the objective unbounded takes in every row at
+once; ``solve`` raises ``InternalError`` if the full program is
+unbounded too, since no program of the package can be.
 
 Presolve
 --------
@@ -131,7 +129,7 @@ holds is never violated, so it is never taken in.
 
 Results are mapped back onto the original program:
 
-* points and rays by substitution into the eliminated rows;
+* points by substitution into the eliminated rows;
 * multipliers (Farkas and duals) by keeping those of the remaining rows
   and giving each eliminated row the unique weight that cancels the
   combination on its eliminated variable (for duals: that matches the
@@ -182,10 +180,10 @@ class LinearProgram:
 
     def __post_init__(self):
         n = self.num_vars
-        if n < 1:
-            raise InputError("a linear program needs at least one variable")
-        if len(self.nonneg) != n:
-            raise InputError("bounds list does not match the variable count")
+        if type(n) is not int or n < 1:
+            raise InputError(f"the variable count {n!r} is not a positive int")
+        if len(self.nonneg) != n or any(type(nn) is not bool for nn in self.nonneg):
+            raise InputError("the bounds are not one bool per variable")
         if len(self.entries) != len(self.relations):
             raise InputError("constraint lists have mismatched lengths")
         for pairs, den in self.entries:
@@ -193,7 +191,7 @@ class LinearProgram:
                 raise InputError(f"a row's denominator {den!r} is not a positive int")
             last, g = -1, den
             for j, a in pairs:
-                if not (isinstance(j, int) and last < j <= n):
+                if not (type(j) is int and last < j <= n):
                     raise InputError(f"constraint column {j!r} is out of order or not one "
                                      f"of the {n} variables or the right side")
                 if type(a) is not int or not a:
@@ -304,26 +302,21 @@ class Infeasible:
     farkas: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[Fraction, ...]
-
-
-LpOutcome = Optimal | Infeasible | Unbounded
+LpOutcome = Optimal | Infeasible
 
 
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Re-check an outcome's certificate with exact arithmetic only.
 
     The check reads the program's stored integer rows, and encodes the
-    rest itself: a point or ray is put over the least common denominator
+    rest itself: a point is put over the least common denominator
     of its entries, and multipliers, each taken with its row's
     denominator, over the lcm of those products, so that every comparison
     is one between integers.  It reads no reduced row.
     """
     if isinstance(outcome, Optimal):
         point, duals = outcome.point, outcome.duals
-        if not _satisfies(lp, point, homogeneous=False):
+        if not _satisfies(lp, point):
             return False
         if lp.objective is None:
             return outcome.value == 0 and duals is None
@@ -344,21 +337,15 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
         bound = _dual_bound(lp, [-y if rel == ">=" else y for y, rel in zip(farkas, lp.relations)],
                             [_ZERO] * lp.num_vars)
         return bound is not None and bound < 0
-    if isinstance(outcome, Unbounded):
-        ray = outcome.ray
-        if lp.objective is None or not _satisfies(lp, ray, homogeneous=True):
-            return False
-        gain = _dot(lp.objective, ray)
-        return gain > 0 if lp.sense == MAX else gain < 0
     return False
 
 
-def _satisfies(lp, vec, homogeneous):
-    """Whether ``vec`` has one entry per variable, keeps the sign bounds
-    and satisfies every row, with right sides 0 if ``homogeneous`` (a
-    ray).  With ``vec`` as integers ``X`` over ``D`` and ``-D`` (0 for a
-    ray) at the right side's column, a stored row's ``sum a X`` is its gap
-    ``a.x - b`` times the positive ``D`` and row denominator."""
+def _satisfies(lp, vec):
+    """Whether the point ``vec`` has one entry per variable, keeps the
+    sign bounds and satisfies every row.  With ``vec`` as integers ``X``
+    over ``D`` and ``-D`` at the right side's column, a stored row's
+    ``sum a X`` is its gap ``a.x - b`` times the positive ``D`` and row
+    denominator."""
     if len(vec) != lp.num_vars:
         return False
     for x, nn in zip(vec, lp.nonneg):
@@ -366,7 +353,7 @@ def _satisfies(lp, vec, homogeneous):
             return False
     den = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (den // x.denominator) for x in vec]
-    ints.append(0 if homogeneous else -den)
+    ints.append(-den)
     for (pairs, _), rel in zip(lp.entries, lp.relations):
         gap = 0
         for j, a in pairs:
@@ -536,23 +523,21 @@ class _Elimination:
         """Map an outcome of the reduced program onto the original one."""
         if not self.pivots:
             return outcome
-        lp = self.lp
-        if isinstance(outcome, Optimal):
-            point = self._lift(outcome.point, homogeneous=False)
-            value = _dot(lp.objective, point) if lp.objective is not None else _ZERO
-            duals = None
-            if outcome.duals is not None:
-                duals = self._multipliers(outcome.duals, lp.objective, signed=False)
-            return Optimal(point, value, duals)
         if isinstance(outcome, Infeasible):
             return Infeasible(self._multipliers(outcome.farkas, None, signed=True))
-        return Unbounded(self._lift(outcome.ray, homogeneous=True))
+        lp = self.lp
+        point = self._lift(outcome.point)
+        value = _dot(lp.objective, point) if lp.objective is not None else _ZERO
+        duals = None
+        if outcome.duals is not None:
+            duals = self._multipliers(outcome.duals, lp.objective, signed=False)
+        return Optimal(point, value, duals)
 
-    def _lift(self, values, homogeneous):
-        """Fill in each eliminated variable from its row, in integers: with
-        the kept values as ``X/D``, ``x_v = (b*D - sum_j a_j X_j) / (p*D)``
-        (``b`` left out for a ray).  With ``X`` 0 off the kept variables and
-        ``-D`` (0 for a ray) at the right side, the row's ``sum a X`` is
+    def _lift(self, values):
+        """Fill in each eliminated variable of a point from its row, in
+        integers: with the kept values as ``X/D``,
+        ``x_v = (b*D - sum_j a_j X_j) / (p*D)``.  With ``X`` 0 off the kept
+        variables and ``-D`` at the right side, the row's ``sum a X`` is
         minus that numerator."""
         n = self.lp.num_vars
         x = [_ZERO] * n
@@ -561,7 +546,7 @@ class _Elimination:
         for j, value in zip(self.kept_vars, values):
             x[j] = value
             ints[j] = value.numerator * (den // value.denominator)
-        ints[n] = 0 if homogeneous else -den
+        ints[n] = -den
         for i, v in self.pivots:
             nums = self.solved[i][0]
             x[v] = Fraction(-sum(a * ints[j] for j, a in nums.items()), nums[v] * den)
@@ -670,35 +655,34 @@ def _eliminate(nums, den, p, f, pivot):
 def _generate_rows(lp):
     """Run the simplex on a working set of rows that starts as the
     equality rows and grows by the inequality rows that the current point
-    or ray violates most, until no row outside it is violated."""
+    violates most, until no row outside it is violated.  A working set
+    that leaves the objective unbounded takes in every row at once, and
+    the full program unbounded raises."""
     ineq_rows = [i for i, rel in enumerate(lp.relations) if rel != "="]
     working = {i for i, rel in enumerate(lp.relations) if rel == "="}
     for _ in range(len(ineq_rows) + 1):
-        simplex = _Simplex(lp, sorted(working))
-        outcome = simplex.run()
+        outcome = _Simplex(lp, sorted(working)).run()
+        if outcome is None:
+            if len(working) == len(lp.relations):
+                raise InternalError("the objective is unbounded")
+            working.update(ineq_rows)
+            continue
         if isinstance(outcome, Infeasible):
             return outcome
-        if isinstance(outcome, Unbounded):
-            # clip the ray with rows it escapes through, or accept it once a
-            # fully feasible point confirms unboundedness
-            violated = _violated(lp, ineq_rows, (*outcome.ray, 0), working)
-            if violated:
-                working.update(violated)
-                continue
-        violated = _violated(lp, ineq_rows, (*simplex.point, -1), working)
+        violated = _violated(lp, ineq_rows, outcome.point, working)
         if not violated:
             return outcome
         working.update(violated)
     raise InternalError("row generation failed to converge")
 
 
-def _violated(lp, rows, vec, working):
-    """The rows listed in ``rows`` but outside ``working`` that ``vec``
-    violates, most violated first, at most ``_LAZY_BATCH`` of them.
-    ``vec`` is a point followed by -1, or a ray followed by 0, so that a
-    row's integers, right side last, give its gap ``a.x - b`` (for a ray,
-    the drift ``a.d``)."""
-    nums, den = _integer_row(vec)
+def _violated(lp, rows, point, working):
+    """The rows listed in ``rows`` but outside ``working`` that ``point``
+    violates, most violated first, at most ``_LAZY_BATCH`` of them.  The
+    point is put over one denominator and -1 appended, so that a row's
+    integers, right side last, give its gap ``a.x - b``."""
+    nums, den = _integer_row(point)
+    nums.append(-den)
     found = []
     for i in rows:
         if i in working:
@@ -1009,44 +993,40 @@ class _Simplex:
         return slot
 
     def _optimize(self, phase1):
-        """Bland-rule pivots on the phase's reduced costs.  Returns -1 once
-        no reduced cost is negative, or the slot of the entering column that
-        no row bounds (the program is unbounded along it)."""
+        """Bland-rule pivots on the phase's reduced costs.  Returns True
+        once no reduced cost is negative, False at an entering column that
+        no row bounds (the working rows leave the objective unbounded)."""
         for _ in range(_MAX_PIVOTS):
             enter = self._entering(self.obj1 if phase1 else self.obj2, lambda v: v < 0)
             if enter < 0:
-                return -1
+                return True
             leave = self._leaving(enter)
             if leave < 0:
-                return enter
+                return False
             self._pivot(leave, enter)
         raise InternalError("pivot limit exceeded")
 
-    def run(self) -> LpOutcome:
+    def run(self) -> LpOutcome | None:
         """The outcome over all of the program's rows, those outside the
-        working set carrying zero multipliers.  An unbounded outcome leaves
-        its feasible point in ``self.point``, as an optimal one does."""
+        working set carrying zero multipliers, or None when the working
+        rows leave the objective unbounded."""
         if self.obj1 is not None:
-            if self._optimize(phase1=True) >= 0:
+            if not self._optimize(phase1=True):
                 raise InternalError("phase-1 objective cannot be unbounded")
             if self.obj1[-1] < 0:  # minimum of artificial sum is positive
                 return Infeasible(self._multipliers(self.obj1, phase1=True))
             self.obj1 = None
             self._evict_artificials()
 
-        slot = self._optimize(phase1=False)
+        if not self._optimize(phase1=False):
+            return None
         # only structural columns carry values of the variables, and those
         # rows are the stored ones
-        self.point = self._variables({c: row[-1] for c, row in self.rows.items()})
-        if slot >= 0:
-            ray = {c: -row[slot] for c, row in self.rows.items()}
-            ray[self.nonbasic[slot]] = self.delta
-            return Unbounded(self._variables(ray))
+        point = self._variables({c: row[-1] for c, row in self.rows.items()})
         if self.lp.objective is None:
-            return Optimal(self.point, _ZERO)
+            return Optimal(point, _ZERO)
         nums, den = self.lp.objective
-        return Optimal(self.point, _dot(nums, self.point) / den,
-                       self._multipliers(self.obj2, phase1=False))
+        return Optimal(point, _dot(nums, point) / den, self._multipliers(self.obj2, phase1=False))
 
     def _evict_artificials(self):
         """Pivot zero-level artificials out of the basis; drop redundant rows."""

@@ -1,12 +1,12 @@
 """State spaces, effects, and observables over exact rational scalars.
 
-A theory is a finite polytope of states in homogeneous coordinates: a
-list of extreme points together with a unit functional that evaluates
-to 1 on every state.  Effects are plain linear functionals (valued in
-[0, 1] on the polytope), an observable is a finite family of effects
-summing to the unit, and all constructive operations here (trivial,
-noisy, mixed, relabelled observables) are pure functions over immutable
-values, so everything is safe to share between threads.
+A theory is a finite polytope of states, as vectors of the cone that it
+spans: a list of extreme points together with a unit functional that
+evaluates to 1 on every state.  Effects are plain linear functionals
+(valued in [0, 1] on the polytope), an observable is a finite family of
+effects summing to the unit, and all constructive operations here
+(trivial, noisy, mixed, relabelled observables) are pure functions over
+immutable values, so everything is safe to share between threads.
 
 No floating point appears anywhere in this module.
 """
@@ -105,7 +105,7 @@ def _rank(vectors, dim) -> int:
 
 @dataclass(frozen=True)
 class TheorySpace:
-    """A finite-dimensional probabilistic theory in homogeneous coordinates."""
+    """A finite-dimensional probabilistic theory with unit-normalized states."""
 
     name: str
     dim: int

@@ -12,7 +12,9 @@ oracle re-checks an LP outcome from the definitions with plain
 ``Fraction`` sums, row by row and column by column.  The elimination
 oracle runs the presolve's Gauss-Jordan steps in plain ``Fraction``
 arithmetic into every row, where the solver substitutes into the rows
-that are not equalities only once, at the end.  The simplex oracle keeps
+that are not equalities only once, at the end.  The ray oracle decides
+whether an objective is unbounded from two bounded programs whose
+outcomes it checks with the certificate oracle.  The simplex oracle keeps
 both columns ``x+`` and ``x- = -x+`` of every free variable in its
 tableau, where the solver stores one slot per free variable.  The
 condensed-tableau oracle keeps a row for every basic column, where the
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ptcompat.errors import InternalError
-from ptcompat.lp import MAX, Infeasible, LpOutcome, Optimal, Unbounded
+from ptcompat.lp import MAX, Infeasible, LinearProgram, LpOutcome, Optimal, solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -193,10 +196,20 @@ def _feasible(prog, vec, homogeneous):
                for row, rel, b in zip(prog.rows, prog.relations, prog.rhs))
 
 
+@dataclass(frozen=True)
+class Unbounded:
+    """A recession direction of a program's feasible set that strictly
+    improves its objective.  ``ptcompat.lp`` returns no such outcome: it
+    raises on an unbounded program, which these oracles certify."""
+
+    ray: tuple[Fraction, ...]
+
+
 def certificate_ok(prog, outcome):
-    """Is ``outcome`` (an ``Optimal``, ``Infeasible`` or ``Unbounded`` of
-    ``lp``, told apart by its fields) a valid certificate for ``prog``?
-    Written from the definitions in ``lp``'s module docstring."""
+    """Is ``outcome`` (an ``Optimal`` or ``Infeasible`` of ``lp``, or an
+    ``Unbounded`` of this module, told apart by their fields) a valid
+    certificate for ``prog``?  Written from the definitions in ``lp``'s
+    module docstring, and for a ray from its definition above."""
     m, n = len(prog.rows), prog.num_vars
     maximize = prog.sense == "max"
     if hasattr(outcome, "farkas"):
@@ -237,6 +250,35 @@ def certificate_ok(prog, outcome):
         if column != c and (not nn or flip * (column - c) < 0):
             return False
     return sum((v * b for v, b in zip(y, prog.rhs)), ZERO) == value
+
+
+def unbounded_ray(prog):
+    """An ``Unbounded`` ray of ``prog`` if its objective is unbounded,
+    else None, decided by two bounded programs that ``ptcompat.lp``
+    solves: the homogeneous program, which maximizes the gain ``g.d`` (``g``
+    is the objective, negated for ``min``) over the rows with zero right
+    sides, the same sign bounds and ``g.d <= 1``, and ``prog``'s rows under
+    a zero objective.  Both outcomes must pass ``certificate_ok``, so a
+    None is proven either by a Farkas certificate or by duals that bound
+    the gain by 0, and a ray comes with a feasible point."""
+    if prog.objective is None:
+        return None
+    n, nonneg = prog.num_vars, prog.nonneg
+    gain = [c if prog.sense == MAX else -c for c in prog.objective]
+    cone = LinearProgram.create(
+        n, [(row, rel, ZERO) for row, rel in zip(prog.rows, prog.relations)] + [(gain, "<=", ONE)],
+        objective=gain, sense=MAX, nonneg=nonneg)
+    rows = LinearProgram.create(n, zip(prog.rows, prog.relations, prog.rhs),
+                                objective=[ZERO] * n, sense=MAX, nonneg=nonneg)
+    best, found = solve(cone), solve(rows)
+    if not (certificate_ok(cone, best) and certificate_ok(rows, found)):
+        raise AssertionError("a bounded program's outcome fails the certificate oracle")
+    if best.value == 0 or isinstance(found, Infeasible):
+        return None
+    ray = Unbounded(best.point)
+    if not certificate_ok(prog, ray):
+        raise AssertionError("the homogeneous optimum is not a ray of the program")
+    return ray
 
 
 def _integers(values):
@@ -307,8 +349,8 @@ class TwoColumnSimplex:
     program and row subset, and reads its rows through ``dense_program``;
     ``pivots`` records each pivot as (row, entering original column), and
     ``run`` returns ``("Optimal", point, value, duals)``,
-    ``("Infeasible", farkas)`` or ``("Unbounded", ray)``, with ``point``
-    set as the solver sets it."""
+    ``("Infeasible", farkas)`` or ``("Unbounded", ray)``, where the
+    solver's run returns None."""
 
     def __init__(self, lp, row_indices):
         self.lp = lp
@@ -453,17 +495,17 @@ class TwoColumnSimplex:
             self.obj1 = None
             self._evict_artificials()
         slot = self._optimize(phase1=False)
-        self.point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
         if slot >= 0:
             ray = {c: -row[slot] for c, row in zip(self.basis, self.rows)}
             ray[self.nonbasic[slot]] = self.delta
             return ("Unbounded", self._variables(ray))
+        point = self._variables({c: row[-1] for c, row in zip(self.basis, self.rows)})
         if self.lp.objective is None:
-            return ("Optimal", self.point, ZERO, None)
+            return ("Optimal", point, ZERO, None)
         nums, den = self.lp.objective
         y = self._multipliers(self.obj2, phase1=False)
-        value = sum((Fraction(a, den) * x for a, x in zip(nums, self.point)), ZERO)
-        return ("Optimal", self.point, value, tuple(v / self.obj_scale for v in y))
+        value = sum((Fraction(a, den) * x for a, x in zip(nums, point)), ZERO)
+        return ("Optimal", point, value, tuple(v / self.obj_scale for v in y))
 
     def _evict_artificials(self):
         r = 0
@@ -517,9 +559,10 @@ class CondensedSimplex:
     tableau: one stored row for every basic column, slacks and
     artificials included, each updated by every pivot.  It takes the same
     reduced program and row subset, reads the rows through
-    ``dense_program``, and returns the same outcomes.  The
-    rest of this docstring and the code are the solver's as they were
-    before it derived the rows of basic slacks and artificials.
+    ``dense_program``, and returns the same outcomes, but its own
+    ``Unbounded`` ray where the solver's run returns None.  The rest of
+    this docstring and the code are the solver's as they were before it
+    derived the rows of basic slacks and artificials.
 
     Two-phase simplex on a subset of rows, over scaled integers.
 
@@ -711,7 +754,7 @@ class CondensedSimplex:
             self._pivot(leave, enter)
         raise InternalError("pivot limit exceeded")
 
-    def run(self) -> LpOutcome:
+    def run(self) -> LpOutcome | Unbounded:
         """The outcome over all of the program's rows, those outside the
         working set carrying zero multipliers.  An unbounded outcome leaves
         its feasible point in ``self.point``, as an optimal one does."""

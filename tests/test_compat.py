@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, compat, lp, model
-from ptcompat.errors import InputError, InternalError
+from ptcompat.errors import HullRejection, InputError, InternalError
 from oracles import bisect_noise_threshold, dichotomic_pair_compatible, witness_marginals_ok
 
 F = Fraction
@@ -619,3 +619,50 @@ def test_sharpness_caps_are_implied(name):
         assert compat.compat_index(*pair).lambda_star <= 1
         for sample in compat.region_boundary_scan(pair, directions):
             assert all(c <= 1 for c in sample.boundary)
+
+
+def test_no_package_program_leaves_a_working_set_unbounded(monkeypatch):
+    # every program the package solves is a feasibility program or one that
+    # maximizes s under its noise totals, which are equality rows and so in
+    # every working set: no simplex run may meet an improving column that
+    # no working row bounds, so row generation never takes in every row at
+    # once.  The runs below are those of criteria 3 to 6 and 9, smaller,
+    # and of validate_state and is_classical_state
+    runs = []
+    run = lp._Simplex.run
+
+    def recorded(self):
+        out = run(self)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(lp._Simplex, "run", recorded)
+    ball = catalog.bloch_polytope(32)
+    compat.region_boundary_scan(catalog.noisy_pauli_observables(ball),
+                                compat.angular_directions(8) + [(F(1, 2), F(1, 2))])
+    cube, square = catalog.even_logic_cube(), catalog.square_gbit()
+    dirs = [(F(1, 4), F(3, 4)), (F(3, 4), F(1, 4))]
+    for seed, theory in enumerate([cube, square, catalog.bloch_octahedron()]):
+        pair = rand_pair(theory, 100 + seed)
+        for point in ((F(1, 2), F(1, 2)), (F(1), F(1, 8)), (F(1), F(1))):
+            compat.region_membership(pair, point)
+        first, second = compat.region_boundary_scan(pair, dirs)
+        compat.region_membership(pair, [(a + b) / 2 for a, b in zip(first.boundary,
+                                                                     second.boundary)])
+        compat.check_compatible(list(pair))
+        lam = F(1, 3)
+        noise = [model.make_trivial(theory, model.Distribution((F(1, 4), F(3, 4))), m.outcomes)
+                 for m in pair]
+        compat.check_compatible([model.noisy(pair[0], lam, noise[0]),
+                                 model.noisy(pair[1], 1 - lam, noise[1])])
+    estimate = compat.theory_index_estimate(cube, 10, seed=0)
+    compat.compat_index(*estimate.argmin_pair)
+    compat.compat_interval(*estimate.argmin_pair)
+    model.validate_state(square, (1, 0, 0))
+    with pytest.raises(HullRejection):
+        model.validate_state(square, (1, 2, 0))
+    for state in catalog.cube_vertex_states().values():
+        catalog.is_classical_state(state)
+    unbounded = sum(out is None for out in runs)
+    assert unbounded == 0, f"{unbounded} of {len(runs)} runs left the objective unbounded"
+    assert {type(out) for out in runs} == {lp.Optimal, lp.Infeasible}

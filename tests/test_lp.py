@@ -13,9 +13,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from ptcompat import catalog, cli, compat, lp, model
-from ptcompat.errors import HullRejection, InputError
-from oracles import (CondensedSimplex, TwoColumnSimplex, best_vertex_2var, certificate_ok,
-                     dense_program, reduce_program, witness_marginals_ok)
+from ptcompat.errors import HullRejection, InputError, InternalError
+from oracles import (CondensedSimplex, TwoColumnSimplex, Unbounded, best_vertex_2var,
+                     certificate_ok, dense_program, reduce_program, unbounded_ray,
+                     witness_marginals_ok)
 
 F = Fraction
 
@@ -24,6 +25,18 @@ def simple_lp(constraints, objective=None, sense=None, num_vars=None, nonneg=Tru
     n = num_vars if num_vars is not None else len(constraints[0][0])
     return lp.LinearProgram.create(n, constraints, objective=objective,
                                    sense=sense, nonneg=nonneg)
+
+
+def solved(prog):
+    """``lp.solve(prog)``, which must raise exactly when the oracle
+    certifies a ray of ``prog``; then that ray, as the oracle's
+    ``Unbounded``."""
+    ray = unbounded_ray(prog)
+    if ray is None:
+        return lp.solve(prog)
+    with pytest.raises(InternalError, match="the objective is unbounded"):
+        lp.solve(prog)
+    return ray
 
 
 def test_single_variable_box():
@@ -79,15 +92,14 @@ def test_negative_rhs_rows():
 
 
 def test_unbounded_ray():
-    prog = lp.LinearProgram.create(
-        2,
-        [((1, -1), "<=", 1)],
-        objective=(1, 0),
-        sense=lp.MAX,
-    )
-    out = lp.solve(prog)
-    assert isinstance(out, lp.Unbounded)
-    assert lp.verify(prog, out)
+    # x - y <= 1 lets x grow along (1, 1), and -x falls without bound
+    for objective, sense in (((1, 0), lp.MAX), ((-1, 0), lp.MIN)):
+        prog = lp.LinearProgram.create(2, [((1, -1), "<=", 1)], objective=objective,
+                                       sense=sense)
+        with pytest.raises(InternalError, match="the objective is unbounded"):
+            lp.solve(prog)
+        found = unbounded_ray(prog)
+        assert found is not None and certificate_ok(prog, found)
 
 
 def test_feasibility_only_returns_zero_value():
@@ -164,8 +176,8 @@ def test_soundness_on_random_corpus():
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(250):
         prog = _random_program(rng)
-        out = lp.solve(prog)  # solve() would raise if verify failed
-        assert lp.verify(prog, out)
+        out = solved(prog)  # solve() would raise if verify failed
+        assert isinstance(out, Unbounded) or lp.verify(prog, out)
         seen[type(out).__name__.lower()] += 1
     assert min(seen.values()) > 0, seen
 
@@ -175,7 +187,7 @@ def test_duality_spot_check():
     checked = 0
     for _ in range(200):
         prog = _random_program(rng)
-        out = lp.solve(prog)
+        out = solved(prog)
         if not isinstance(out, lp.Optimal):
             continue
         assert len(out.duals) == len(prog.rows)
@@ -267,7 +279,7 @@ def test_verify_multiplies_out_mixed_denominators():
     assert not lp.verify(clash, tampered) and not certificate_ok(clash, tampered)
 
 
-def test_verify_rejects_tampered_rays():
+def test_certificate_ok_rejects_tampered_rays():
     # x, y, w >= 0 and z free: y - 2x <= 1, x - w >= 0, z - x = 0
     def ray_lp(objective, sense):
         return lp.LinearProgram.create(
@@ -275,10 +287,14 @@ def test_verify_rejects_tampered_rays():
             objective=objective, sense=sense, nonneg=(True, True, True, False))
 
     def is_ray(prog, ray):
-        return lp.verify(prog, lp.Unbounded(tuple(map(F, ray))))
+        return certificate_ok(prog, Unbounded(tuple(map(F, ray))))
 
-    # maximize x: each tampered ray below fails exactly one condition
+    # maximize x: solve raises, the oracle finds a ray, and each tampered
+    # ray below fails exactly one condition
     prog = ray_lp((1, 0, 0, 0), lp.MAX)
+    with pytest.raises(InternalError, match="the objective is unbounded"):
+        lp.solve(prog)
+    assert unbounded_ray(prog) is not None
     assert is_ray(prog, (1, 1, 1, 1))
     assert not is_ray(prog, (1, -1, 1, 1))  # negative y
     assert not is_ray(prog, (1, 3, 1, 1))  # drifts up through the <= row
@@ -301,7 +317,7 @@ def test_determinism_bit_identical():
     rng = random.Random(5)
     for _ in range(40):
         prog = _random_program(rng)
-        assert lp.solve(prog) == lp.solve(prog)
+        assert solved(prog) == solved(prog)
 
 
 def test_lazy_path_matches_direct_value():
@@ -464,10 +480,10 @@ def split_free_variables(prog):
 @EXAMPLES
 @given(programs_with_equalities())
 def test_presolve_matches_the_split_program(prog):
-    out = lp.solve(prog)
+    out = solved(prog)
     split = split_free_variables(prog)
     assert not lp._Elimination(split).pivots
-    reference = lp.solve(split)
+    reference = solved(split)
     assert type(out) is type(reference)
     if isinstance(out, lp.Optimal):
         assert out.value == reference.value
@@ -509,13 +525,14 @@ def test_presolve_drops_redundant_and_refutes_inconsistent_rows():
 
 
 def test_presolve_unbounded_ray_through_eliminated_variable():
-    # x free, y >= 0: x - y = 0, maximize x
+    # x free, y >= 0: x - y = 0, maximize x; the reduced program has no row
     prog = lp.LinearProgram.create(2, [((1, -1), "=", 0)], objective=(1, 0),
                                    nonneg=(False, True))
     assert lp._Elimination(prog).pivots == [(0, 0)]
-    out = lp.solve(prog)
-    assert isinstance(out, lp.Unbounded) and lp.verify(prog, out)
-    assert out.ray[0] == out.ray[1] > 0
+    with pytest.raises(InternalError, match="the objective is unbounded"):
+        lp.solve(prog)
+    found = unbounded_ray(prog)
+    assert found is not None and found.ray[0] == found.ray[1] > 0
 
 
 def test_presolve_eliminates_every_variable():
@@ -543,7 +560,7 @@ def test_presolve_eliminates_every_variable():
 @EXAMPLES
 @given(programs_with_equalities())
 def test_presolve_is_deterministic(prog):
-    first, second = lp.solve(prog), lp.solve(prog)
+    first, second = solved(prog), solved(prog)
     assert first == second
     if isinstance(first, lp.Optimal):
         assert first.duals == second.duals
@@ -612,9 +629,9 @@ def permute_variables(prog, data):
 @given(programs_with_equalities(), st.data())
 def test_equivalent_programs_keep_status_and_value(transform, prog, data):
     changed = transform(prog, data)
-    out, moved = lp.solve(prog), lp.solve(changed)
+    out, moved = solved(prog), solved(changed)
     assert type(out) is type(moved)
-    assert lp.verify(changed, moved)
+    assert isinstance(moved, Unbounded) or lp.verify(changed, moved)
     if isinstance(out, lp.Optimal):
         assert out.value == moved.value
 
@@ -660,8 +677,6 @@ def _perturbed(prog, out, data):
 
     if isinstance(out, lp.Infeasible):
         return lp.Infeasible(bump(out.farkas))
-    if isinstance(out, lp.Unbounded):
-        return lp.Unbounded(bump(out.ray))
     if out.duals is not None and data.draw(st.booleans()):
         return lp.Optimal(out.point, out.value, bump(out.duals))
     point, value = bump(out.point), out.value
@@ -673,8 +688,10 @@ def _perturbed(prog, out, data):
 @EXAMPLES
 @given(coprime_programs(), st.data())
 def test_verify_agrees_with_the_fraction_oracle(prog, data):
-    out = lp.solve(prog)
+    out = solved(prog)
     assert certificate_ok(prog, out)
+    if isinstance(out, Unbounded):
+        return  # verify checks no rays: solve returns none
     for _ in range(3):
         moved = _perturbed(prog, out, data)
         assert lp.verify(prog, moved) == certificate_ok(prog, moved)
@@ -786,7 +803,7 @@ def test_mapping_rows_give_the_same_program(case):
     assert prog.rows == tuple(tuple(map(F, coeffs)) for coeffs, _, _ in dense)
     assert prog.rhs == tuple(F(b) for _, _, b in dense)
     assert same.entries == prog.entries == dataclasses.replace(same).entries
-    out, again = lp.solve(prog), lp.solve(same)
+    out, again = solved(prog), solved(same)
     assert out == again
     if isinstance(out, lp.Optimal):
         assert out.duals == again.duals
@@ -807,18 +824,19 @@ def test_mapping_rows_refuse_columns_outside_the_program():
     for coeffs in ({2: 1}, {0: 1, 2: 5}):
         with pytest.raises(InputError):
             lp.LinearProgram.create(2, [(coeffs, "<=", 0)])
-    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {2: 0}, {0: 1, 2: 0}):
+    for coeffs in ({2: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {True: 1}, {2: 0}, {0: 1, 2: 0}):
         with pytest.raises(InputError):
             lp.LinearProgram.create(2, [(coeffs, "<=", 1)])
     # built directly or copied, a row's pairs are checked the same way:
-    # unsorted, repeated, out of range, not an int column, zero-valued, a
-    # value that is not an int (the right side's included), a denominator
-    # that is not a positive int, a row not in lowest terms
+    # unsorted, repeated, out of range, not an int column (a bool
+    # included), zero-valued, a value that is not an int (the right side's
+    # included), a denominator that is not a positive int, a row not in
+    # lowest terms
     good = lp.LinearProgram.create(2, [({0: 1}, "<=", 1)])
     assert good.entries == ((((0, 1), (2, 1)), 1),)
     bad_rows = [((pairs, 1),) for pairs in (
         ((1, 1), (0, 1)), ((0, 1), (0, 2)), ((2, 1), (0, 1)), ((3, 1),), ((-1, 1),),
-        (("0", 1),), ((0, 0),), ((0, 1), (1, 0)), ((0, 1), (2, 0)),
+        (("0", 1),), ((True, 1),), ((0, 0),), ((0, 1), (1, 0)), ((0, 1), (2, 0)),
         ((0, 0.5),), ((0, "1/2"),), ((0, F(1)),), ((0, F(1, 2)),), ((0, True),),
         ((2, 0.5),), ((2, "1/2"),), ((2, F(1)),))]
     bad_rows += [((((0, 1),), den),) for den in (0, -1, -3, 1.0, F(1), True, "1", None)]
@@ -835,6 +853,15 @@ def test_mapping_rows_refuse_columns_outside_the_program():
             dataclasses.replace(good, objective=(F(1), bad), sense=lp.MAX)
     with pytest.raises(TypeError):  # the right sides live in the rows
         dataclasses.replace(good, rhs=(F(1),))
+    # the variable count is an int, not a bool, and each bound a bool: one
+    # variable whose right side sits at column 1 is a program, and True
+    # counts it no more than a truthy string or 1 bounds it
+    one = lp.LinearProgram(1, (True,), ((((0, 1), (1, 1)), 1),), ("<=",), None, lp.FEASIBILITY)
+    for bad in (dict(num_vars=True), dict(nonneg=("no",)), dict(nonneg=(1,))):
+        with pytest.raises(InputError):
+            dataclasses.replace(one, **bad)
+    with pytest.raises(InputError):
+        dataclasses.replace(good, nonneg=("no", 0))
 
 
 def test_verify_reads_the_rows_of_a_replaced_copy():
@@ -922,11 +949,14 @@ class _RecordedSimplex(lp._Simplex):
 
 
 def _as_tuple(out):
+    """An outcome as a tuple; the solver's run returns None exactly where
+    the oracle returns its ray, and both read as ``("Unbounded",)``."""
     if isinstance(out, lp.Optimal):
         return ("Optimal", out.point, out.value, out.duals)
     if isinstance(out, lp.Infeasible):
         return ("Infeasible", out.farkas)
-    return ("Unbounded", out.ray)
+    assert out is None or isinstance(out, Unbounded), out
+    return ("Unbounded",)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -934,11 +964,9 @@ def _as_tuple(out):
 def test_folded_free_columns_pivot_like_the_two_column_simplex(case):
     prog, working = case
     simplex, reference = _RecordedSimplex(prog, working), TwoColumnSimplex(prog, working)
-    out = _as_tuple(simplex.run())
-    assert out == reference.run()
+    out, expected = _as_tuple(simplex.run()), reference.run()
+    assert out == (expected[:1] if expected[0] == "Unbounded" else expected)
     assert simplex.pivots == reference.pivots
-    if out[0] != "Infeasible":
-        assert simplex.point == reference.point
 
 
 # ---------------------------------------------------------------------------
