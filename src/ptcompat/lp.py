@@ -70,12 +70,16 @@ This is only a faster encoding of the same rationals and the interface
 stays Fraction end to end.  Every program is solved by row generation:
 the simplex first runs on the equality rows alone, and each round adds
 the inequality rows that its point violates most, ties broken by row
-index, until no row is violated.  So the rows taken in do not depend on
-where the inequality rows sit, and certificates returned for the full
-program remain exact (rows never taken in carry zero multipliers).  A
-working set that leaves the objective unbounded takes in every row at
-once; ``solve`` raises ``InternalError`` if the full program is
-unbounded too, since no program of the package can be.
+index, until no row is violated.  The scan lifts the point onto the
+program as given, in integers over one denominator, and reads the stored
+rows there with the gap function of ``verify``: a presolved row is its
+stored row plus a combination of equality rows, which all hold at the
+lifted point, so the gaps are the same rationals.  So the rows taken in
+do not depend on where the inequality rows sit, and certificates
+returned for the full program remain exact (rows never taken in carry
+zero multipliers).  A working set that leaves the objective unbounded
+takes in every row at once; ``solve`` raises ``InternalError`` if the
+full program is unbounded too, since no program of the package can be.
 
 Presolve
 --------
@@ -85,9 +89,9 @@ pairs of its nonzero entries in increasing column order, the right side
 as the pair at column ``num_vars``.  ``create`` converts each row once.
 The dense Fraction ``rows`` and ``rhs`` are derived from the integers
 on each read, for dumps and for checks made outside the package.  The
-presolve, the restoring of results and ``verify`` read the stored
-integers as they are, so they visit only the entries that can matter,
-convert no Fraction of a row and never build a dense row.
+presolve, the row scan, the restoring of results and ``verify`` read the
+stored integers as they are, so they visit only the entries that can
+matter, convert no Fraction of a row and never build a dense row.
 
 Free variables are eliminated through equality rows before the simplex
 runs, in two stages.  Every row that the stages build or leave is held
@@ -95,8 +99,8 @@ once, sparse: ``{column: integer}`` over one positive denominator in
 lowest terms, with nonzero entries only and the right side at the column
 after the last variable.  The objective comes out as a dense list of
 integers over one positive denominator, the start of the simplex's cost
-row.  These are the only encodings that the row scan and the simplex
-read: the simplex tableau starts from these integers.
+row.  The simplex alone reads these encodings: its tableau starts from
+these integers.
 
 1. Gauss-Jordan on the equality rows alone, each a dict of its stored
    integers over its stored denominator.  They are taken in index
@@ -182,15 +186,24 @@ class LinearProgram:
         n = self.num_vars
         if type(n) is not int or n < 1:
             raise InputError(f"the variable count {n!r} is not a positive int")
+        # tuples throughout, so that a checked program stays checked and hashes
+        if not all(type(f) is tuple for f in (self.nonneg, self.entries, self.relations)):
+            raise InputError("the bounds, rows and relations are not tuples")
         if len(self.nonneg) != n or any(type(nn) is not bool for nn in self.nonneg):
             raise InputError("the bounds are not one bool per variable")
         if len(self.entries) != len(self.relations):
             raise InputError("constraint lists have mismatched lengths")
-        for pairs, den in self.entries:
+        for row in self.entries:
+            if type(row) is not tuple or len(row) != 2 or type(row[0]) is not tuple:
+                raise InputError("a row is not a tuple of a tuple of pairs and a denominator")
+            pairs, den = row
             if type(den) is not int or den < 1:
                 raise InputError(f"a row's denominator {den!r} is not a positive int")
             last, g = -1, den
-            for j, a in pairs:
+            for pair in pairs:
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise InputError("a row entry is not a (column, integer) tuple")
+                j, a = pair
                 if not (type(j) is int and last < j <= n):
                     raise InputError(f"constraint column {j!r} is out of order or not one "
                                      f"of the {n} variables or the right side")
@@ -209,8 +222,8 @@ class LinearProgram:
         if (self.objective is None) != (self.sense == FEASIBILITY):
             raise InputError("objective row must be present iff sense is not feasibility")
         if self.objective is not None:
-            if len(self.objective) != n:
-                raise InputError("objective row has wrong length")
+            if type(self.objective) is not tuple or len(self.objective) != n:
+                raise InputError("objective row is not a tuple of one value per variable")
             if not all(isinstance(c, Fraction) for c in self.objective):
                 raise InputError("every objective value must be a Fraction")
         if not self.entries and self.objective is None:
@@ -312,11 +325,18 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     rest itself: a point is put over the least common denominator
     of its entries, and multipliers, each taken with its row's
     denominator, over the lcm of those products, so that every comparison
-    is one between integers.  It reads no reduced row.
+    is one between integers.  It reads no reduced row.  An outcome that
+    holds a number other than an int or a Fraction fails.
     """
     if isinstance(outcome, Optimal):
         point, duals = outcome.point, outcome.duals
-        if not _satisfies(lp, point):
+        if not _rationals((*point, outcome.value, *(duals or ()))) or len(point) != lp.num_vars:
+            return False
+        if any(nn and x < 0 for x, nn in zip(point, lp.nonneg)):
+            return False
+        den = lcm(*(x.denominator for x in point))
+        ints = [x.numerator * (den // x.denominator) for x in point] + [-den]
+        if any(_gaps(lp, ints, range(len(lp.relations)))):
             return False
         if lp.objective is None:
             return outcome.value == 0 and duals is None
@@ -332,7 +352,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     if isinstance(outcome, Infeasible):
         # a dual ray for the objective c = 0, a >= row entering negated
         farkas = outcome.farkas
-        if len(farkas) != len(lp.relations):
+        if not _rationals(farkas) or len(farkas) != len(lp.relations):
             return False
         bound = _dual_bound(lp, [-y if rel == ">=" else y for y, rel in zip(farkas, lp.relations)],
                             [_ZERO] * lp.num_vars)
@@ -340,29 +360,26 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     return False
 
 
-def _satisfies(lp, vec):
-    """Whether the point ``vec`` has one entry per variable, keeps the
-    sign bounds and satisfies every row.  With ``vec`` as integers ``X``
-    over ``D`` and ``-D`` at the right side's column, a stored row's
-    ``sum a X`` is its gap ``a.x - b`` times the positive ``D`` and row
-    denominator."""
-    if len(vec) != lp.num_vars:
-        return False
-    for x, nn in zip(vec, lp.nonneg):
-        if nn and x < 0:
-            return False
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    ints.append(-den)
-    for (pairs, _), rel in zip(lp.entries, lp.relations):
+def _rationals(values):
+    """Whether every value is an int or a Fraction, all that verify reads."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _gaps(lp, ints, rows):
+    """The ``(gap, row)`` pairs of the listed stored rows that a point
+    violates, in the order listed.  With the point as integers ``X`` over
+    ``D`` and ``-D`` at the right side's column (``ints``), a stored row's
+    ``sum a X`` is its gap ``a.x - b`` times ``D`` and its denominator."""
+    entries, relations = lp.entries, lp.relations
+    for i in rows:
         gap = 0
-        for j, a in pairs:
+        for j, a in entries[i][0]:
             x = ints[j]
             if x:
                 gap += a * x
+        rel = relations[i]
         if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0) or (rel == "=" and gap):
-            return False
-    return True
+            yield gap, i
 
 
 def _dual_bound(lp, y, c):
@@ -421,7 +438,7 @@ def _dot(row, vec):
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; the returned outcome always passes :func:`verify`."""
     elimination = _Elimination(lp)
-    outcome = elimination.restore(_generate_rows(elimination.reduced))
+    outcome = elimination.restore(_generate_rows(elimination))
     if not verify(lp, outcome):
         raise InternalError("solver produced an outcome that fails exact verification")
     return outcome
@@ -487,6 +504,8 @@ class _Elimination:
             nums, den = rows[i]
             weights, weights_den = combos[i]
             self.solved[i] = (nums, weights, Fraction(den, weights_den * nums[v]))
+        # the lcm of the p_v, which puts a lifted point over one denominator
+        self.lift_scale = lcm(*(rows[i][0][v] for i, v in self.pivots))
 
         # stage 2: every other row and the objective in one substitution.
         # With place[j] = (p, sparse), an entry c in column j adds c/p times
@@ -521,12 +540,11 @@ class _Elimination:
 
     def restore(self, outcome):
         """Map an outcome of the reduced program onto the original one."""
-        if not self.pivots:
-            return outcome
         if isinstance(outcome, Infeasible):
             return Infeasible(self._multipliers(outcome.farkas, None, signed=True))
         lp = self.lp
-        point = self._lift(outcome.point)
+        ints, den = self._lift(outcome.point)
+        point = tuple(Fraction(x, den) for x in ints[:-1])
         value = _dot(lp.objective, point) if lp.objective is not None else _ZERO
         duals = None
         if outcome.duals is not None:
@@ -534,23 +552,23 @@ class _Elimination:
         return Optimal(point, value, duals)
 
     def _lift(self, values):
-        """Fill in each eliminated variable of a point from its row, in
-        integers: with the kept values as ``X/D``,
-        ``x_v = (b*D - sum_j a_j X_j) / (p*D)``.  With ``X`` 0 off the kept
-        variables and ``-D`` at the right side, the row's ``sum a X`` is
-        minus that numerator."""
+        """A point of the reduced program on the program as given, as
+        integers ``X`` over one positive ``D``, ``-D`` appended at the right
+        side's column (see ``_gaps``).  ``D`` is the kept values' least
+        common denominator ``d`` times the lcm of the ``p``.  An eliminated
+        variable fills in from its row as ``x_v = (b*D - sum_j a_j X_j) /
+        (p*D)``: with ``X`` 0 off the kept variables, the row's ``sum a X``
+        is minus that numerator, which is ``D/d`` times an integer."""
         n = self.lp.num_vars
-        x = [_ZERO] * n
         ints = [0] * (n + 1)
-        den = lcm(*(value.denominator for value in values))
+        den = lcm(*(value.denominator for value in values)) * self.lift_scale
         for j, value in zip(self.kept_vars, values):
-            x[j] = value
             ints[j] = value.numerator * (den // value.denominator)
         ints[n] = -den
         for i, v in self.pivots:
             nums = self.solved[i][0]
-            x[v] = Fraction(-sum(a * ints[j] for j, a in nums.items()), nums[v] * den)
-        return tuple(x)
+            ints[v] = -sum(a * ints[j] for j, a in nums.items()) // nums[v]
+        return ints, den
 
     def _multipliers(self, reduced, target, signed):
         """Row multipliers of the original program from those of the reduced
@@ -583,15 +601,10 @@ class _Elimination:
 
 def _combine(first, u, second, w):
     """The combination ``first - (w/u) * second`` of two weightings, each a
-    ``({row: integer}, positive denominator)`` pair, in lowest terms."""
-    weights, den = first
-    other, other_den = second
-    scale = u * other_den
-    out = {l: t * scale for l, t in weights.items()}
-    factor = w * den
-    for l, t in other.items():
-        out[l] = out.get(l, 0) - factor * t
-    return _lowest(out, den * scale)
+    ``({row: integer}, positive denominator)`` pair, in lowest terms: the
+    step of ``_eliminate`` over the denominators' product times ``u``."""
+    (weights, den), (other, other_den) = first, second
+    return _eliminate(weights, den, u * other_den, w * den, other)
 
 
 def _integer_row(values):
@@ -652,48 +665,35 @@ def _eliminate(nums, den, p, f, pivot):
 # row generation
 
 
-def _generate_rows(lp):
-    """Run the simplex on a working set of rows that starts as the
-    equality rows and grows by the inequality rows that the current point
-    violates most, until no row outside it is violated.  A working set
-    that leaves the objective unbounded takes in every row at once, and
-    the full program unbounded raises."""
-    ineq_rows = [i for i, rel in enumerate(lp.relations) if rel != "="]
-    working = {i for i, rel in enumerate(lp.relations) if rel == "="}
+def _generate_rows(elimination):
+    """Run the simplex on a working set of the reduced program's rows that
+    starts as the equality rows and grows by the inequality rows that the
+    current point, lifted, violates most on their stored rows, until no
+    row outside it is violated (see "Determinism" in the module
+    docstring).  A working set that leaves the objective unbounded takes
+    in every row at once, and the full program unbounded raises."""
+    lp, reduced = elimination.lp, elimination.reduced
+    ineq_rows = [k for k, rel in enumerate(reduced.relations) if rel != "="]
+    working = {k for k, rel in enumerate(reduced.relations) if rel == "="}
     for _ in range(len(ineq_rows) + 1):
-        outcome = _Simplex(lp, sorted(working)).run()
+        outcome = _Simplex(reduced, sorted(working)).run()
         if outcome is None:
-            if len(working) == len(lp.relations):
+            if len(working) == len(reduced.relations):
                 raise InternalError("the objective is unbounded")
             working.update(ineq_rows)
             continue
         if isinstance(outcome, Infeasible):
             return outcome
-        violated = _violated(lp, ineq_rows, outcome.point, working)
-        if not violated:
+        ints, den = elimination._lift(outcome.point)
+        # reduced rows outside the working set by stored index (same order)
+        outside = {elimination.kept_rows[k]: k for k in ineq_rows if k not in working}
+        found = [(Fraction(abs(gap), lp.entries[i][1] * den), i)
+                 for gap, i in _gaps(lp, ints, outside)]
+        if not found:
             return outcome
-        working.update(violated)
+        most = heapq.nsmallest(_LAZY_BATCH, found, key=lambda t: (-t[0], t[1]))
+        working.update(outside[i] for _, i in most)
     raise InternalError("row generation failed to converge")
-
-
-def _violated(lp, rows, point, working):
-    """The rows listed in ``rows`` but outside ``working`` that ``point``
-    violates, most violated first, at most ``_LAZY_BATCH`` of them.  The
-    point is put over one denominator and -1 appended, so that a row's
-    integers, right side last, give its gap ``a.x - b``."""
-    nums, den = _integer_row(point)
-    nums.append(-den)
-    found = []
-    for i in rows:
-        if i in working:
-            continue
-        sparse, row_den = lp.rows[i]
-        gap = sum(a * nums[j] for j, a in sparse.items())
-        rel = lp.relations[i]
-        if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0):
-            found.append((Fraction(abs(gap), row_den * den), i))
-    most = heapq.nsmallest(_LAZY_BATCH, found, key=lambda t: (-t[0], t[1]))
-    return [i for _, i in most]
 
 
 # ---------------------------------------------------------------------------

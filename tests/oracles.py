@@ -20,11 +20,15 @@ tableau, where the solver stores one slot per free variable.  The
 condensed-tableau oracle keeps a row for every basic column, where the
 solver stores only the rows of basic structural columns and derives the
 others from their constraints' starting rows.  Both simplex oracles read
-the presolve's sparse rows written out densely by ``dense_program``.
+the presolve's sparse rows written out densely by ``dense_program``.  The
+reduced-row scan reads each round's violated rows off the presolved rows
+at the reduced point, where the solver reads the stored rows at the point
+lifted onto the program as given.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -340,6 +344,28 @@ def reduce_program(prog):
         prog.sense,
     )
     return reduced, pivots, kept_vars, kept_rows
+
+
+def reduced_row_scan(program, point, working, batch):
+    """The row scan that row generation made on the presolved rows: the
+    inequality rows of the reduced program ``program`` (sparse rows
+    ``({column: integer}, den)``, right side at column ``num_vars``)
+    outside ``working`` that the reduced ``point`` violates, as
+    ``(gap, row)`` pairs in row order, each gap ``|a.x - b|`` an exact
+    Fraction read off the reduced row; and the rows that a round takes in,
+    at most ``batch`` of them, most violated first, ties to the smaller
+    row."""
+    nums, den = _integers(point)
+    nums.append(-den)
+    found = []
+    for i, ((sparse, row_den), rel) in enumerate(zip(program.rows, program.relations)):
+        if i in working or rel == "=":
+            continue
+        gap = sum(a * nums[j] for j, a in sparse.items())
+        if (rel == "<=" and gap > 0) or (rel == ">=" and gap < 0):
+            found.append((Fraction(abs(gap), row_den * den), i))
+    most = heapq.nsmallest(batch, found, key=lambda t: (-t[0], t[1]))
+    return found, [i for _, i in most]
 
 
 class TwoColumnSimplex:

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from ptcompat import catalog, cli, compat, lp, model
 from ptcompat.errors import HullRejection, InputError, InternalError
 from oracles import (CondensedSimplex, TwoColumnSimplex, Unbounded, best_vertex_2var,
-                     certificate_ok, dense_program, reduce_program, unbounded_ray,
-                     witness_marginals_ok)
+                     certificate_ok, dense_program, reduce_program, reduced_row_scan,
+                     unbounded_ray, witness_marginals_ok)
 
 F = Fraction
 
@@ -138,6 +138,42 @@ def test_verify_rejects_tampered_certificates():
     assert not lp.verify(box, lp.Optimal((F(1), F(-1)), F(1), good.duals))  # negative coordinate
     assert not lp.verify(box, lp.Optimal((F(0), F(0)), F(1), good.duals))  # value is not c.x
     assert not lp.verify(box, lp.Optimal((F(1),), F(1), good.duals))  # wrong length
+
+
+def test_verify_refuses_numbers_that_are_not_ints_or_fractions():
+    # each outcome below would pass if its numbers were read as rationals
+    box = simple_lp([((1,), "<=", 1)], objective=(1,), sense=lp.MAX)
+    out = lp.solve(box)
+    assert out == lp.Optimal((F(1),), F(1)) and out.duals == (F(1),)
+    assert lp.verify(box, lp.Optimal((1,), 1, (1,)))  # ints are rationals
+    assert not lp.verify(box, lp.Optimal((1.0,), out.value, out.duals))
+    assert not lp.verify(box, lp.Optimal(out.point, 1.0, out.duals))
+    assert not lp.verify(box, lp.Optimal(out.point, out.value, ("1",)))
+    half = simple_lp([((1,), "<=", 1)])
+    assert lp.verify(half, lp.Optimal((F(1, 2),), F(0)))
+    assert not lp.verify(half, lp.Optimal((0.5,), F(0)))
+    below = simple_lp([((1,), "<=", -1)])  # x >= 0
+    assert lp.verify(below, lp.Infeasible((F(1, 2),)))
+    assert not lp.verify(below, lp.Infeasible((0.5,)))
+    assert not lp.verify(below, lp.Infeasible(("1",)))
+
+
+def test_programs_are_tuples_throughout():
+    # a list anywhere would leave a checked program open to change and
+    # unhashable: built from lists, this one used to solve after its
+    # relation was changed to "<<"
+    with pytest.raises(InputError):
+        lp.LinearProgram(2, [True, True], [(((0, 1), (2, 1)), 1)], ["<="], None, "feasibility")
+    good = lp.LinearProgram(2, (True, True), ((((0, 1), (2, 1)), 1),), ("<=",), None,
+                            lp.FEASIBILITY)
+    assert hash(good) == hash(dataclasses.replace(good))
+    for bad in (dict(nonneg=[True, True]), dict(relations=["<="]),
+                dict(entries=[(((0, 1), (2, 1)), 1)]), dict(entries=([((0, 1), (2, 1)), 1],)),
+                dict(entries=(([(0, 1), (2, 1)], 1),)), dict(entries=((((0, 1), [2, 1]), 1),)),
+                dict(entries=((((0, 1), (2, 1)), 1, 1),)), dict(entries=((((0, 1), (2, 1, 0)), 1),)),
+                dict(objective=[F(1), F(1)], sense=lp.MAX)):
+        with pytest.raises(InputError):
+            dataclasses.replace(good, **bad)
 
 
 def test_malformed_programs_rejected():
@@ -371,6 +407,26 @@ def test_pivot_sequence_is_pinned(monkeypatch):
     assert len(pivots) == 31
     assert digest(repr(pivots)) == (
         "e218a4ed6f15c0b6fed7e2acf7bb13208813bfa3d378334d21df2eaefd5428f6")
+    # criterion 4's membership programs at a few corner-simplex points, and
+    # an incompatible and a compatible plain check
+    pivots.clear()
+    for point in ((F(1, 8), F(5, 8)), (F(1, 2), F(1, 2)), (F(3, 8), F(1, 4)), (F(0), F(1)),
+                  (F(3, 4), F(1, 8))):
+        assert isinstance(compat.region_membership([cube["A"], cube["B"]], point),
+                          compat.Compatible)
+    assert len(pivots) == 9
+    assert digest(repr(pivots)) == (
+        "93034f9548f6711ee3c376ce2a7f5230f3a92f6a019358e2231a2c2c39396708")
+    square = catalog.named_observables(catalog.square_gbit())
+    for pair, verdict, count, expected in (
+            ("X Y", compat.Incompatible, 9,
+             "9f5ddaf22b231992bc2a1a1a2884b211b64149d690769b127003cb80a0075e85"),
+            ("D1 D2", compat.Compatible, 6,
+             "52467e1c4ddadd8d4c439b5b952482886012366a0ef844b1ac2ab0972d417ea7")):
+        pivots.clear()
+        assert isinstance(compat.check_compatible([square[k] for k in pair.split()]), verdict)
+        assert len(pivots) == count
+        assert digest(repr(pivots)) == expected
 
     res = CliRunner().invoke(cli.main, ["region", "--theory", "bloch:32", "pauli-x", "pauli-y",
                                         "--directions", "8"])
@@ -749,6 +805,78 @@ def test_elimination_matches_the_dense_oracle(prog):
     assert elimination.pivots == pivots
     assert elimination.kept_vars == kept_vars
     assert elimination.kept_rows == kept_rows
+
+
+@st.composite
+def scan_programs(draw):
+    """Feasible programs with free variables, equality rows to eliminate
+    them through and up to a dozen rows of small entries, each holding at
+    a drawn point with a small slack, so that the rounds of row generation
+    meet several violated rows, some of them tied."""
+    n = draw(st.integers(1, 4))
+    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    small = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+    # away from 0, where the first working set's point tends to sit
+    point = [F(draw(st.integers(1, 3)) * (1 if nn or draw(st.booleans()) else -1))
+             for nn in nonneg]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        coeffs = tuple(draw(st.lists(small, min_size=n, max_size=n)))
+        rel = draw(st.sampled_from(["=", "<=", ">="]))
+        slack = 0 if rel == "=" else abs(draw(small))
+        rows.append((coeffs, rel, sum(a * x for a, x in zip(coeffs, point))
+                     + (slack if rel == "<=" else -slack)))
+    for j in range(n):  # a box around the point keeps every objective bounded
+        unit = tuple(F(int(j == k)) for k in range(n))
+        rows += [(unit, "<=", point[j] + 2), (unit, ">=", point[j] - 2)]
+    sense = draw(st.sampled_from([lp.MAX, lp.MIN, lp.FEASIBILITY]))
+    objective = None
+    if sense != lp.FEASIBILITY:
+        objective = tuple(draw(st.lists(small, min_size=n, max_size=n)))
+    return lp.LinearProgram.create(n, rows, objective=objective, sense=sense, nonneg=nonneg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scan_programs(), st.integers(1, 3))
+def test_stored_row_scan_matches_the_reduced_row_scan(prog, batch):
+    # every round of row generation, with a batch small enough that ties
+    # and the cut matter: the stored rows that the lifted point violates
+    # are the reduced rows that the reduced point violates, in the same
+    # order and with the same exact gaps, and the round takes in the rows
+    # that the reduced-row scan picks
+    elimination = lp._Elimination(prog)
+    rounds, scans = [], []
+    gaps = lp._gaps
+
+    class Recorded(lp._Simplex):
+        def run(self):
+            out = super().run()
+            rounds.append((self.row_indices, out))
+            return out
+
+    def recorded_gaps(program, ints, rows):
+        found = list(gaps(program, ints, rows))
+        scans.append((-ints[-1], found))
+        return iter(found)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_Simplex", Recorded)
+        patch.setattr(lp, "_gaps", recorded_gaps)
+        patch.setattr(lp, "_LAZY_BATCH", batch)
+        assert isinstance(lp._generate_rows(elimination), lp.Optimal)  # feasible and boxed
+    scans = iter(scans)
+    for r, (working, out) in enumerate(rounds):
+        if not isinstance(out, lp.Optimal):
+            continue
+        den, found = next(scans)
+        expected, picks = reduced_row_scan(elimination.reduced, out.point, set(working), batch)
+        assert [(F(abs(gap), prog.entries[i][1] * den), i) for gap, i in found] == [
+            (gap, elimination.kept_rows[k]) for gap, k in expected]
+        if picks:
+            assert rounds[r + 1][0] == sorted({*working, *picks})
+        else:
+            assert r == len(rounds) - 1
+    assert next(scans, None) is None
 
 
 # ---------------------------------------------------------------------------
