@@ -210,6 +210,8 @@ def _family_program(grid, axes) -> lp.LinearProgram:
     coordinate); the noise total ``sum_j t_kj + b_k*s = 1 - a_k`` per axis
     that is not sharp; and ``cell . x >= 0`` per extreme point x and cell.
     No row states ``b_k*s <= 1``: the noise total with t >= 0 implies it.
+    Only the equalities are built here: the positivity rows are the
+    theory's cached block for this many cells, already in stored form.
     """
     noise, scale, n = grid.layout(axes)
     unit, dim = grid.theory.unit, grid.dim
@@ -230,16 +232,11 @@ def _family_program(grid, axes) -> lp.LinearProgram:
             if b:
                 coeffs[scale] = b
             rows.append((coeffs, "=", 1 - a))
-    for point in grid.theory.extreme_points:
-        support = [(r, xr) for r, xr in enumerate(point) if xr]
-        for first in range(0, grid.n_cell_vars, dim):
-            rows.append(({first + r: xr for r, xr in support}, ">=", _ZERO))
-    objective = None
-    if scale is not None:
-        objective = [_ZERO] * n
-        objective[scale] = _ONE
+    positivity = grid.theory._positivity(len(grid.cells))
+    objective = None if scale is None else [_ONE if j == scale else _ZERO for j in range(n)]
     nonneg = [False] * grid.n_cell_vars + [True] * (n - grid.n_cell_vars)
-    return lp.LinearProgram.create(n, rows, objective=objective, nonneg=nonneg)
+    return lp.LinearProgram.create(n, rows, objective=objective, nonneg=nonneg,
+                                   entries=positivity, relations=(">=",) * len(positivity))
 
 
 class _Witness(NamedTuple):

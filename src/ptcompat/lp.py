@@ -48,88 +48,72 @@ Determinism
 Two-phase primal simplex with Bland's anti-cycling rule and
 smallest-index tie breaking, so repeated solves are bit-identical.
 Internally the tableau is condensed and held as integers over one common
-positive denominator: it keeps one column per nonbasic variable, right
-side last, with a map from each slot to its original column number, and
-a pivot exchanges the entering column with the leaving basic one by a
-fraction-free (Bareiss) step whose divisions are exact.  Rows are stored
-only for the basic structural columns, at most one per variable, next to
-the reduced costs.  The row of a basic slack or artificial follows from
-its constraint's starting row and the stored rows, so a pivot computes
-of it only what the ratio test reads (the entering entry, and the right
-side where that entry is positive), builds it in full only when it
-leaves, and updates the stored rows and the reduced costs alone.  A free
-variable is two columns, ``x+`` and ``x- = -x+``, and one slot stores
-both: while both are nonbasic the other half's column is the negated
-slot, and while one is basic the other's column is ``-delta`` in that
-row and 0 elsewhere, with reduced cost 0, so it can never enter and is
-not stored.  Entering the other half of a slot negates the slot and
-relabels it.  Bland's rule reads the original column numbers and offers
-each half of a slot with its own sign, so the pivots are exactly those
-of the full tableau: the integers they compare are the full tableau's.
-This is only a faster encoding of the same rationals and the interface
-stays Fraction end to end.  Every program is solved by row generation:
-the simplex first runs on the equality rows alone, and each round adds
-the inequality rows that its point violates most, ties broken by row
-index, until no row is violated.  The scan lifts the point onto the
-program as given, in integers over one denominator, and reads the stored
-rows there with the gap function of ``verify``: a presolved row is its
-stored row plus a combination of equality rows, which all hold at the
-lifted point, so the gaps are the same rationals.  So the rows taken in
-do not depend on where the inequality rows sit, and certificates
-returned for the full program remain exact (rows never taken in carry
-zero multipliers).  A working set that leaves the objective unbounded
-takes in every row at once; ``solve`` raises ``InternalError`` if the
-full program is unbounded too, since no program of the package can be.
+positive denominator, and pivots by fraction-free (Bareiss) steps whose
+divisions are exact; ``_Simplex`` gives the layout (rows stored only for
+basic structural columns, one slot for both halves of a free variable).
+Its pivots are exactly those of the full tableau, whose integers it
+compares, and the interface stays Fraction end to end.  Every program is
+solved by row generation: the simplex first runs on the equality rows
+alone, and each round adds the inequality rows that its point violates
+most, ties broken by row index, until no row is violated.  The scan
+lifts the point onto the program as given, in integers over one
+denominator, and reads the stored rows there with the gap function of
+``verify``: a presolved row is its stored row plus a combination of
+equality rows, which all hold at the lifted point, so the gaps are the
+same rationals.  So the rows taken in do not depend on where the
+inequality rows sit, and certificates returned for the full program
+remain exact (rows never taken in carry zero multipliers).  A working set
+that leaves the objective unbounded takes in every row at once;
+``solve`` raises ``InternalError`` if the full program is unbounded too,
+since no program of the package can be.
 
 Presolve
 --------
 A program stores each row once, as integers over one positive
 denominator in lowest terms (``entries``): the ``(column, integer)``
 pairs of its nonzero entries in increasing column order, the right side
-as the pair at column ``num_vars``.  ``create`` converts each row once.
-The dense Fraction ``rows`` and ``rhs`` are derived from the integers
-on each read, for dumps and for checks made outside the package.  The
-presolve, the row scan, the restoring of results and ``verify`` read the
-stored integers as they are, so they visit only the entries that can
-matter, convert no Fraction of a row and never build a dense row.
+as the pair at column ``num_vars``.  ``create`` converts each row once,
+or takes it already in that form (a family program's positivity rows,
+cached per theory).  The dense Fraction ``rows`` and ``rhs`` are derived
+on each read, for dumps and outside checks; the presolve, the row scan,
+the restoring of results and ``verify`` read the stored integers, so
+they visit only nonzero entries and never build a dense row.
 
 Free variables are eliminated through equality rows before the simplex
-runs, in two stages.  Every row that the stages build or leave is held
-once, sparse: ``{column: integer}`` over one positive denominator in
-lowest terms, with nonzero entries only and the right side at the column
-after the last variable.  The objective comes out as a dense list of
-integers over one positive denominator, the start of the simplex's cost
-row.  The simplex alone reads these encodings: its tableau starts from
-these integers.
+runs, in two stages.  Every row the stages build is sparse, ``{column:
+integer}`` over one positive denominator in lowest terms, the right side
+at the column after the last variable; the objective comes out as a
+dense list of integers over one positive denominator, the start of the
+simplex's cost row.
 
 1. Gauss-Jordan on the equality rows alone, each a dict of its stored
    integers over its stored denominator.  They are taken in index
    order; each one pivots on its first free variable with a nonzero
    coefficient, and an exact, fraction-free step substitutes that
    variable into every other equality row that holds it, visiting the
-   nonzero entries of the two rows only; the result is brought back to
-   lowest terms with a positive denominator.  The combination of
-   original rows that each equality row has become is kept alongside,
-   as integer weights over one positive denominator.  A step reads only
-   equality rows, so the other rows can wait.  At the end each pivot
-   row ``R_v`` is nonzero on its variable ``v`` (entry ``p_v``) and zero
-   on every other eliminated variable.
+   nonzero entries of the two rows only, and brings the result back to
+   lowest terms.  The combination of original rows that each equality
+   row has become is kept alongside, as integer weights over one
+   positive denominator.  At the end each pivot row ``R_v`` is nonzero
+   on its variable ``v`` (entry ``p_v``) and zero on every other
+   eliminated variable.
 2. Every other row ``a``, equality rows left without a free variable
    included, and the objective become ``a - sum_v a_v R_v / p_v`` in
    one pass over the nonzeros of ``a`` and of each ``R_v`` it meets, in
    integers over ``a``'s denominator times the lcm of the ``p_v`` it
-   meets, and are brought to lowest terms once.
+   meets, brought to lowest terms once.  The objective is reduced at
+   once, a row the first time it is read: an inequality row when row
+   generation first takes it in, since the row scan reads stored rows.
+   Most never enter, so they are never reduced; reading the reduced rows
+   in full reduces them all.
 
 The result is the row that Gauss-Jordan steps into every row would
-leave.  That row is ``a`` plus a combination of the pivot rows that is
-zero on every eliminated variable; on those variables the ``R_v`` form a
-diagonal matrix, so the combination above is the only one.  Lowest terms
-over a positive denominator are unique, so the integers agree too.  The
-remaining rows keep their order over the remaining variables, and the
-objective drops the constant that the substitution leaves in its last
-place.  All-zero rows need no special case: phase 1 drops a ``0 = 0``
-row and refutes ``0 = b != 0``, and an all-zero inequality row that
-holds is never violated, so it is never taken in.
+leave: that row is ``a`` plus the one combination of the pivot rows that
+is zero on every eliminated variable (there the ``R_v`` are diagonal),
+and lowest terms over a positive denominator are unique.  The remaining
+rows keep their order, and the objective drops the constant left in its
+last place.  All-zero rows need no special case: phase 1 drops ``0 = 0``
+and refutes ``0 = b != 0``, and one that holds is never taken in.
 
 Results are mapped back onto the original program:
 
@@ -151,7 +135,7 @@ solves may run concurrently.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -230,7 +214,8 @@ class LinearProgram:
             raise InputError("program has neither constraints nor objective")
 
     @classmethod
-    def create(cls, num_vars, constraints, objective=None, sense=None, nonneg=True):
+    def create(cls, num_vars, constraints, objective=None, sense=None, nonneg=True,
+               entries=(), relations=()):
         """Normalizing constructor.
 
         ``constraints`` is an iterable of ``(coeffs, relation, rhs)``, where
@@ -240,14 +225,16 @@ class LinearProgram:
         ``nonneg`` is a single bool applied to all variables or one bool
         per variable.  Numeric entries may be ints, Fractions, or strings
         like ``"2/3"``.  Each row is stored as integers over one
-        denominator, its right side at column ``num_vars``.
+        denominator, its right side at column ``num_vars``.  Rows already
+        in that form may follow as ``entries``, with their ``relations``;
+        they are checked like every row.
         """
         if isinstance(nonneg, bool):
             bounds = (nonneg,) * num_vars
         else:
             bounds = tuple(bool(b) for b in nonneg)
         columns = set(range(num_vars))
-        entries, rels = [], []
+        stored, rels = [], []
         for coeffs, rel, b in constraints:
             if isinstance(coeffs, Mapping):
                 # a stray column is refused, even at 0, and never read as the
@@ -259,12 +246,12 @@ class LinearProgram:
                 raise InputError("constraint row has wrong length")
             else:
                 pairs = enumerate(coeffs)
-            entries.append(_integer_pairs([*pairs, (num_vars, b)]))
+            stored.append(_integer_pairs([*pairs, (num_vars, b)]))
             rels.append(rel)
         obj = None if objective is None else tuple(map(Fraction, objective))
         if sense is None:
             sense = FEASIBILITY if obj is None else MAX
-        return cls(num_vars, bounds, tuple(entries), tuple(rels), obj, sense)
+        return cls(num_vars, bounds, (*stored, *entries), (*rels, *relations), obj, sense)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -446,14 +433,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
 class _Program(NamedTuple):
     """A program after elimination, unvalidated (every variable may be
-    gone).  Each row is ``(nums, den)``: ``nums`` maps a column to a
-    nonzero integer, the right side at column ``num_vars``, over one
-    positive denominator ``den`` in lowest terms.  The objective is
-    ``(nums, den)`` with ``nums`` a dense list of ``num_vars`` integers."""
+    gone).  Each row, reduced when first read (``_Rows``), is ``(nums,
+    den)``: ``nums`` maps a column to a nonzero integer, the right side at
+    column ``num_vars``, over one positive denominator ``den`` in lowest
+    terms.  The objective is ``(nums, den)``, ``nums`` a dense list."""
 
     num_vars: int
     nonneg: tuple[bool, ...]
-    rows: tuple[tuple[dict[int, int], int], ...]
+    rows: Sequence[tuple[dict[int, int], int]]
     relations: tuple[str, ...]
     objective: tuple[list[int], int] | None
     sense: str
@@ -488,8 +475,11 @@ class _Elimination:
                 f = other.get(v)
                 if f is None or k == i:
                     continue
-                # row k minus f*den / (other_den*p) times row i
-                combos[k] = _combine(combos[k], other_den * p, combos[i], f * den)
+                # row k minus f*den / (other_den*p) times row i, over the
+                # product of the two weightings' denominators
+                (weights, w_den), (pivot, pivot_den) = combos[k], combos[i]
+                combos[k] = _eliminate(weights, w_den, other_den * p * pivot_den, f * den * w_den,
+                                       pivot)
                 rows[k] = _eliminate(other, other_den, p, f, nums)
             self.pivots.append((i, v))
 
@@ -507,13 +497,12 @@ class _Elimination:
         # the lcm of the p_v, which puts a lifted point over one denominator
         self.lift_scale = lcm(*(rows[i][0][v] for i, v in self.pivots))
 
-        # stage 2: every other row and the objective in one substitution.
-        # With place[j] = (p, sparse), an entry c in column j adds c/p times
-        # the (position, integer) list sparse over the kept columns and the
-        # right side: a kept column adds itself, and an eliminated variable v
-        # adds -R_v/p_v, so that a - sum_v a_v R_v / p_v comes out.  R_v is
-        # zero on every other eliminated variable, so each of its columns but
-        # v has a position
+        # stage 2: the objective now, every other row when first read.  With
+        # place[j] = (p, sparse), an entry c in column j adds c/p times the
+        # (position, integer) list sparse over the kept columns and the right
+        # side: a kept column adds itself, and an eliminated variable v adds
+        # -R_v/p_v, so a - sum_v a_v R_v / p_v comes out (R_v is zero on every
+        # other eliminated variable, so each of its columns but v has one)
         position = {j: k for k, j in enumerate((*kept, n))}
         place = [None] * (n + 1)
         for j, k in position.items():
@@ -529,14 +518,9 @@ class _Elimination:
             nums.pop(len(kept), None)
             nums, den = _lowest(nums, den)
             objective = [nums.get(k, 0) for k in range(len(kept))], den
-        self.reduced = _Program(
-            len(kept),
-            tuple(lp.nonneg[j] for j in kept),
-            tuple(_lowest(*_substitute(entries[i], place)) for i in self.kept_rows),
-            tuple(lp.relations[i] for i in self.kept_rows),
-            objective,
-            lp.sense,
-        )
+        self.reduced = _Program(len(kept), tuple(lp.nonneg[j] for j in kept),
+                                _Rows([entries[i] for i in self.kept_rows], place),
+                                tuple(lp.relations[i] for i in self.kept_rows), objective, lp.sense)
 
     def restore(self, outcome):
         """Map an outcome of the reduced program onto the original one."""
@@ -599,12 +583,20 @@ class _Elimination:
         return tuple(y)
 
 
-def _combine(first, u, second, w):
-    """The combination ``first - (w/u) * second`` of two weightings, each a
-    ``({row: integer}, positive denominator)`` pair, in lowest terms: the
-    step of ``_eliminate`` over the denominators' product times ``u``."""
-    (weights, den), (other, other_den) = first, second
-    return _eliminate(weights, den, u * other_den, w * den, other)
+class _Rows(Sequence):
+    """The kept rows, each carried over by stage 2 of the presolve the
+    first time it is read and kept for later reads."""
+
+    def __init__(self, stored, place):
+        self.stored, self.place, self.done = stored, place, [None] * len(stored)
+
+    def __len__(self):
+        return len(self.stored)
+
+    def __getitem__(self, k):
+        if self.done[k] is None:
+            self.done[k] = _lowest(*_substitute(self.stored[k], self.place))
+        return self.done[k]
 
 
 def _integer_row(values):
@@ -668,10 +660,9 @@ def _eliminate(nums, den, p, f, pivot):
 def _generate_rows(elimination):
     """Run the simplex on a working set of the reduced program's rows that
     starts as the equality rows and grows by the inequality rows that the
-    current point, lifted, violates most on their stored rows, until no
-    row outside it is violated (see "Determinism" in the module
-    docstring).  A working set that leaves the objective unbounded takes
-    in every row at once, and the full program unbounded raises."""
+    current point, lifted, violates most on their stored rows, until none
+    is (see "Determinism"); a row is reduced when it first enters.  A
+    working set that leaves the objective unbounded takes in every row."""
     lp, reduced = elimination.lp, elimination.reduced
     ineq_rows = [k for k, rel in enumerate(reduced.relations) if rel != "="]
     working = {k for k, rel in enumerate(reduced.relations) if rel == "="}

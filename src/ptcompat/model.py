@@ -147,6 +147,17 @@ class TheorySpace:
         denominator, computed once per theory."""
         return lp._integer_row(self.unit)
 
+    def _positivity(self, cells: int) -> tuple:
+        """The rows ``cell . x >= 0`` of a program over ``cells`` cells of
+        ``dim`` columns, by extreme point and then by cell, as stored in
+        ``lp.LinearProgram.entries``; built once per theory and cell count."""
+        blocks = self.__dict__.setdefault("_blocks", {})
+        if cells not in blocks:
+            blocks[cells] = tuple((tuple([(first + r, a) for r, a in enumerate(nums) if a]), den)
+                                  for nums, den in self._integer_points
+                                  for first in range(0, cells * self.dim, self.dim))
+        return blocks[cells]
+
 
 def _sums_to_unit(theory: TheorySpace, effects) -> bool:
     """Do the effects' coefficients add up exactly to the theory's unit?

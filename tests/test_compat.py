@@ -266,6 +266,41 @@ def test_index_and_scan_program_layouts_are_pinned():
     assert text == (DATA / "scan_even_logic_cube_A_B.lp").read_text()
 
 
+def test_positivity_blocks_are_cached_per_theory_and_cell_count(monkeypatch):
+    # each family program appends its theory's cached positivity block for
+    # its cell count: one object for every program of that shape
+    blocks = []
+    positivity = model.TheorySpace._positivity
+
+    def recorded(theory, cells):
+        blocks.append(positivity(theory, cells))
+        return blocks[-1]
+
+    monkeypatch.setattr(model.TheorySpace, "_positivity", recorded)
+    theory = catalog.bloch_polytope(32)
+    fresh = catalog.bloch_polytope(32)
+    before = hash(theory)
+    named = catalog.named_observables(theory)
+    pair = [named["pauli-x"], named["pauli-y"]]
+    scans = [compat.build_scan_lp(pair, w) for w in ((F(1), F(0)), (F(1, 3), F(2, 3)))]
+    assert blocks[0] is blocks[1] and len(blocks[0]) == 32 * 4
+    assert all(prog.entries[-len(blocks[0]):] == blocks[0] for prog in scans)
+    three = catalog.random_observable(theory, 3, 7)
+    wide = compat.build_joint_lp([named["pauli-x"], three])
+    assert blocks[2] is not blocks[0] and len(blocks[2]) == 32 * 6
+    assert wide.entries[-len(blocks[2]):] == blocks[2]
+    # the cache is no part of the theory's value
+    assert theory == fresh and hash(theory) == hash(fresh) == before
+    # warm or cold, the programs keep their bytes
+    square = catalog.square_gbit_observables(catalog.square_gbit())
+    cube = catalog.even_logic_observables(catalog.even_logic_cube())
+    for _ in range(2):
+        text = lp.lp_to_text(compat.build_index_lp(square["X"], square["D1"]))
+        assert text == (DATA / "index_gbit_square_X_D1.lp").read_text()
+        text = lp.lp_to_text(compat.build_scan_lp([cube["A"], cube["B"]], (F(1, 3), F(2, 3))))
+        assert text == (DATA / "scan_even_logic_cube_A_B.lp").read_text()
+
+
 # ---------------------------------------------------------------------------
 # noise thresholds
 

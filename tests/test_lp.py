@@ -992,6 +992,62 @@ def test_mapping_rows_refuse_columns_outside_the_program():
         dataclasses.replace(good, nonneg=("no", 0))
 
 
+def test_rows_given_to_create_encoded_are_checked_like_every_row():
+    # a family program hands create its positivity rows already encoded;
+    # they follow the other rows and pass the same checks
+    good = (((0, 1), (1, -2)), 3)
+    prog = lp.LinearProgram.create(2, [({0: 1}, "<=", 1)], entries=(good,), relations=(">=",))
+    assert prog.entries == ((((0, 1), (2, 1)), 1), good)
+    assert prog.relations == ("<=", ">=")
+    assert prog.rows[1] == (F(1, 3), F(-2, 3)) and prog.rhs[1] == 0
+    for bad in ((((0, 0), (1, 1)), 1),  # a zero integer
+                (((1, 1), (0, 1)), 1), (((0, 1), (0, 2)), 1),  # columns out of order
+                (((0, 1), (3, 1)), 1),  # a column past num_vars
+                (((0, 2), (1, 4)), 2), (((0, 3),), 6),  # not in lowest terms
+                (((0, True), (1, 1)), 1), (((True, 1),), 1), (((0, 1),), True),  # bools
+                (((0, 1),), 0), (((0, 1),), -1)):  # a denominator <= 0
+        with pytest.raises(InputError):
+            lp.LinearProgram.create(2, [({0: 1}, "<=", 1)], entries=(bad,), relations=(">=",))
+    with pytest.raises(InputError):  # one relation per row
+        lp.LinearProgram.create(2, [({0: 1}, "<=", 1)], entries=(good,))
+
+
+def test_stage_two_reduces_only_the_rows_that_enter(monkeypatch):
+    # a kept row is reduced the first time row generation takes it in:
+    # counted by wrapping the substitution from outside, the way the pivot
+    # pins wrap _Simplex._pivot
+    substitute, start = lp._substitute, lp._Simplex.__init__
+    reduced, taken = [], set()
+
+    def counted(row, place):
+        reduced.append(row)
+        return substitute(row, place)
+
+    def recorded(self, program, rows):
+        taken.update(rows)
+        start(self, program, rows)
+
+    monkeypatch.setattr(lp, "_substitute", counted)
+    monkeypatch.setattr(lp._Simplex, "__init__", recorded)
+    named = catalog.named_observables(catalog.bloch_polytope(32))
+    counts = []
+    for w in compat.angular_directions(8):
+        prog = compat.build_scan_lp([named["pauli-x"], named["pauli-y"]], w)
+        kept = lp._Elimination(prog).reduced
+        equalities = kept.relations.count("=")
+        reduced.clear()
+        taken.clear()
+        lp.solve(prog)
+        # the objective, then each kept equality row and each inequality
+        # row ever taken in, once
+        assert len(reduced) == 1 + len(taken)
+        assert len({id(row) for row in reduced}) == len(reduced)
+        assert equalities + len([k for k in taken if kept.relations[k] != "="]) == len(taken)
+        assert len(taken) < len(kept.rows) == 134
+        counts.append(len(taken))
+    assert counts == [6, 37, 45, 55, 50, 30, 9, 6]
+
+
 def test_verify_reads_the_rows_of_a_replaced_copy():
     prog = lp.LinearProgram.create(2, [({0: 1, 1: 1}, "<=", 4)], objective=(1, 1))
     out = lp.solve(prog)
